@@ -4,7 +4,8 @@ A periodic front track advances L per curvature period T with L < T.
 Pinning the back wheel and spinning the frame a quarter turn, riding
 straight, and spinning back joins the same two configurations with
 length pi*ell + N*L, which wins for N > pi*ell / (T - L).  Only lines
-and solitons (where T - L degenerates) survive as global minimizers.
+and solitons (which have no curvature period: T diverges as a -> 1)
+survive as global minimizers.
 
 Run:  python3 demos/shortcut_race.py
 """
@@ -12,8 +13,7 @@ Run:  python3 demos/shortcut_race.py
 import os
 
 from bikegeo import shortcut_analysis
-from bikegeo.cli import _scene_shortcut
-from bikegeo.io import write_svg
+from bikegeo.io import shortcut_scene, write_svg
 
 OUT = os.environ.get("BIKEGEO_OUTPUT_DIR", "out")
 os.makedirs(OUT, exist_ok=True)
@@ -26,5 +26,6 @@ for a in (0.2, 0.5, 0.8, 1.5, 2.0, 4.0):
           f"{report.margin:.4f}")
 
 target = os.path.join(OUT, "shortcut_race.svg")
-write_svg(_scene_shortcut(1e-3), target)
+_report, geodesic, cut = shortcut_analysis(0.5)
+write_svg(shortcut_scene(geodesic, cut), target)
 print(f"\nfigure written to {target}")

@@ -20,13 +20,13 @@ from .integrate import (CotangentState, FrontTrackSpec, ReducedState,
                         horizontal_lift, integrate_geodesic,
                         integrate_geodesics, lift_frame_angles, reduced_rhs,
                         soliton_vertex_state)
-from .closed_forms import (line_lift_theta, soliton_arclength,
-                           soliton_curvature, soliton_point, tractrix_point)
+from .closed_forms import (elliptic_period_advance, line_lift_theta,
+                           soliton_arclength, soliton_curvature,
+                           soliton_point, tractrix_point)
 from .analysis import (ElasticaClass, ElasticaParams, Vertex, VertexReport,
                        back_width, canonical_orient, classify,
-                       elastica_params_from_a, energy_residual,
-                       find_vertices, fit_elastica_params, front_width,
-                       period_and_advance, strip_width)
+                       energy_residual, find_vertices, fit_elastica_params,
+                       front_width, period_and_advance, strip_width)
 from .holonomy import (MobiusMap, TransportSample, correspondent,
                        cross_ratio_angles, fit_mobius, pressurized_fit,
                        transport, transport_samples)
@@ -47,11 +47,11 @@ __all__ = [
     "canonical_vertex_state", "canonicalize", "hamiltonian_rhs",
     "horizontal_lift", "integrate_geodesic", "integrate_geodesics",
     "lift_frame_angles", "reduced_rhs", "soliton_vertex_state",
-    "line_lift_theta", "soliton_arclength", "soliton_curvature",
-    "soliton_point", "tractrix_point",
+    "elliptic_period_advance", "line_lift_theta", "soliton_arclength",
+    "soliton_curvature", "soliton_point", "tractrix_point",
     "ElasticaClass", "ElasticaParams", "Vertex", "VertexReport",
-    "back_width", "canonical_orient", "classify", "elastica_params_from_a",
-    "energy_residual", "find_vertices", "fit_elastica_params", "front_width",
+    "back_width", "canonical_orient", "classify", "energy_residual",
+    "find_vertices", "fit_elastica_params", "front_width",
     "period_and_advance", "strip_width",
     "MobiusMap", "TransportSample", "correspondent", "cross_ratio_angles",
     "fit_mobius", "pressurized_fit", "transport", "transport_samples",

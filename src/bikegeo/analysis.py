@@ -55,6 +55,7 @@ class ElasticaParams:
 
     @classmethod
     def from_momentum(cls, a):
+        """Energy-form coefficients of the geodesic with momentum a."""
         a = float(a)
         if a < 0:
             raise ValueError("momentum parameter a must be >= 0")
@@ -62,11 +63,6 @@ class ElasticaParams:
         B = -((a * a - 1.0) ** 2) / 8.0 + 0.0  # avoid -0.0 at a = 1
         mu = (a * a - 1.0) ** 2 / (a * a + 1.0) ** 2
         return cls(A, B, mu, a)
-
-
-def elastica_params_from_a(a):
-    """Energy-form coefficients of the geodesic with momentum a."""
-    return ElasticaParams.from_momentum(a)
 
 
 @dataclass(frozen=True)

@@ -122,17 +122,28 @@ def _build_parser():
     return parser
 
 
+_POSITIVE = ("step", "t_end", "ell", "radius")
+_NONNEGATIVE = ("a",)
+
+
 def _validated(args):
-    for name in ("step", "t_end", "ell"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            if getattr(args, name) <= 0:
-                raise _UsageError(f"--{name.replace('_', '-')} must be positive")
+    """Reject non-finite float arguments of any subcommand, and signs
+    that the argument cannot take."""
+    for name, value in vars(args).items():
+        if not isinstance(value, float):
+            continue
+        flag = "--" + name.replace("_", "-")
+        if not math.isfinite(value):
+            raise _UsageError(f"{flag} must be finite, got {value!r}")
+        if name in _POSITIVE and value <= 0:
+            raise _UsageError(f"{flag} must be positive")
+        if name in _NONNEGATIVE and value < 0:
+            raise _UsageError(f"{flag} must be >= 0")
+    return args
 
 
 def _geodesic_state(args):
     a = args.a
-    if a < 0:
-        raise _UsageError("--a must be >= 0")
     kappa0 = args.kappa0 if args.kappa0 is not None else 1.0 + a
     # scale to normalized units for the admissibility computation
     k = kappa0 * args.ell
@@ -152,14 +163,12 @@ def _geodesic_state(args):
 
 
 def _cmd_geodesic(args):
-    _validated(args)
     state = _geodesic_state(args)
     path = geo.integrate_geodesic(state, args.t_end, args.step, args.ell)
     return _write_path(path, args, "geodesic")
 
 
 def _cmd_lift(args):
-    _validated(args)
     if args.theta0 is not None:
         theta0 = args.theta0
     elif args.t0 is not None:
@@ -177,7 +186,6 @@ def _cmd_flip(args):
 
 
 def _cmd_correspond(args):
-    _validated(args)
     if args.curve == "line":
         track = geo.FrontTrackSpec.line(0.0, args.t_end)
         theta0 = args.theta0 if args.theta0 is not None else float(
@@ -190,8 +198,6 @@ def _cmd_correspond(args):
 
 
 def _cmd_classify(args):
-    if args.a < 0:
-        raise _UsageError("--a must be >= 0")
     cls = analysis.classify(args.a, args.kappa0)
     p = cls.params
     print(f"{cls.tag} a={args.a!r} A={p.A!r} B={p.B!r} mu={p.mu!r}")
@@ -199,19 +205,14 @@ def _cmd_classify(args):
 
 
 def _cmd_shortcut(args):
-    _validated(args)
-    report, _geodesic, cut = metriclines.shortcut_analysis(
+    report, geodesic, cut = metriclines.shortcut_analysis(
         args.a, args.ell, args.step)
     print(f"T={report.T!r} L={report.L!r} N_star={report.N_star} "
           f"geodesic_length={report.geodesic_length!r} "
           f"shortcut_length={report.shortcut_length!r} margin={report.margin!r}")
     if args.format == "svg":
-        scene = pathio.SvgScene()
-        scene.polyline(_geodesic.front, pathio.FRONT_COLOR, 2.0)
-        scene.polyline(_geodesic.back, pathio.BACK_COLOR, 1.0, opacity=0.6)
-        scene.polyline(cut.front, "#ff7f0e", 2.0, dash="6 5")
         out = _output_path(args, "shortcut.svg")
-        pathio.write_svg(scene, out)
+        pathio.write_svg(pathio.shortcut_scene(geodesic, cut), out)
         print(out)
     else:
         out = _output_path(args, "shortcut.csv")
@@ -279,11 +280,7 @@ def _scene_kink(step):
 
 def _scene_shortcut(step):
     _report, geodesic, cut = metriclines.shortcut_analysis(0.5, 1.0, step)
-    scene = pathio.SvgScene()
-    scene.polyline(geodesic.front, pathio.FRONT_COLOR, 2.0)
-    scene.polyline(geodesic.back, pathio.BACK_COLOR, 1.0, opacity=0.6)
-    scene.polyline(cut.front, "#ff7f0e", 2.0, dash="6 5")
-    return scene
+    return pathio.shortcut_scene(geodesic, cut)
 
 
 def _scene_pressurized(step):
@@ -301,8 +298,6 @@ def _scene_pressurized(step):
 
 
 def _cmd_plot(args):
-    if args.step <= 0:
-        raise _UsageError("--step must be positive")
     builders = {
         "fig-elastica": _scene_elastica,
         "fig-geod": _scene_geod,
@@ -332,7 +327,7 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _validated(parser.parse_args(argv))
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         _emit_error("usage", exc)

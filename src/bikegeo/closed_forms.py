@@ -1,4 +1,4 @@
-"""Closed-form tractrix and soliton curves.
+"""Closed-form tractrix, soliton, and geodesic period and advance.
 
 When the front wheel rides along the x-axis with the back wheel off the
 line, the back wheel traces a tractrix of width ell; flipping the frame
@@ -9,12 +9,21 @@ The parameter t is the arc length of the *line*.  Because the flip
 preserves front-track speed, t is simultaneously the arc length of the
 soliton, and the quadrature reparametrization below is the identity up
 to quadrature error.
+
+The curvature of a periodic geodesic front track is an elliptic
+function of arc length, so its curvature period T and directrix
+advance L are complete elliptic integrals of the momentum a.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
+from scipy.special import ellipe, ellipkm1
 
+from .analysis import CLASS_TOL
 from .core import _ell_value
+from .errors import NoPeriodError
 
 # beyond this argument sech underflows double precision anyway
 _SECH_CLAMP = 700.0
@@ -85,3 +94,27 @@ def soliton_arclength(t, t0=0.0, ell=1.0):
     sech, tanh = _sech(u), np.tanh(u)
     speed = np.hypot(1.0 - 2.0 * sech**2, -2.0 * sech * tanh)
     return cumulative_trapezoid(speed, t, initial=0.0)
+
+
+def elliptic_period_advance(a, ell=1.0):
+    """Curvature period T and directrix advance L of the geodesic with
+    momentum a, from complete elliptic integrals.
+
+    With p = ((1-a)/(1+a))^2 the complementary parameter,
+    T = 4 K(1-p) / (1+a) and L = ((1+a^2) T - 4 (1+a) E(1-p)) / (2a),
+    both in units of ell.  K is evaluated through ellipkm1(p), which
+    keeps full precision near the soliton limit a -> 1 where T diverges
+    logarithmically; T - L tends to 4*ell there and to 0 as a -> inf.
+    Circles (a = 0) and solitons (a = 1), as classified within
+    CLASS_TOL, have no period and raise NoPeriodError.
+    """
+    a = float(a)
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"momentum parameter a must be finite and >= 0, got {a}")
+    ell = _ell_value(ell)
+    if a <= CLASS_TOL or abs(a - 1.0) <= CLASS_TOL:
+        raise NoPeriodError(f"no curvature period at a={a}: circle or soliton")
+    p = ((1.0 - a) / (1.0 + a)) ** 2
+    T = 4.0 * float(ellipkm1(p)) / (1.0 + a)
+    L = ((1.0 + a * a) * T - 4.0 * (1.0 + a) * float(ellipe(1.0 - p))) / (2.0 * a)
+    return ell * T, ell * L

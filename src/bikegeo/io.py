@@ -28,6 +28,7 @@ FRONT_COLOR = "#1f6fb4"
 BACK_COLOR = "#d62728"
 DIRECTRIX_COLOR = "#2ca02c"
 FRAME_COLOR = "#111111"
+SHORTCUT_COLOR = "#ff7f0e"
 
 
 def path_to_csv(path):
@@ -188,6 +189,16 @@ def path_scene(path, vertices=None, directrix_y=None, arrow_scale=1.0):
             base = tip - arrow_scale * path.ell * np.array(
                 [math.cos(v.theta), math.sin(v.theta)])
             scene.arrow(base, tip)
+    return scene
+
+
+def shortcut_scene(geodesic, cut):
+    """Shortcut race scene: the geodesic's front and faded back track,
+    and the competing shortcut's front track dashed in orange."""
+    scene = SvgScene()
+    scene.polyline(geodesic.front, FRONT_COLOR, 2.0)
+    scene.polyline(geodesic.back, BACK_COLOR, 1.0, opacity=0.6)
+    scene.polyline(cut.front, SHORTCUT_COLOR, 2.0, dash="6 5")
     return scene
 
 

@@ -6,8 +6,11 @@ vertices, the same endpoints in configuration space are joined by a
 competitor: spin the frame a quarter turn about the stationary back
 wheel, ride straight for N*L, spin a quarter turn back.  That path has
 length pi*ell + N*L, which beats the geodesic's N*T as soon as
-N > pi*ell / (T - L).  Only straight lines and solitons escape (T - L
-degenerates), which is exactly the metric-line dichotomy.
+N > pi*ell / (T - L).  Only straight lines and solitons escape, because
+neither has a curvature period: the soliton is the limit a -> 1, where T
+diverges (while T - L tends to 4*ell), so no two vertices lie a period
+apart.  This is exactly the metric-line dichotomy.  T - L tends to 0
+only in the line limit a -> infinity, where N grows without bound.
 """
 
 import math
@@ -15,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import LINE, SOLITON, ElasticaClass, canonical_orient, period_and_advance
+from .analysis import LINE, SOLITON, ElasticaClass
+# unused here; bound so that bench/spans.py can wrap them at this module
+from .analysis import canonical_orient, period_and_advance  # noqa: F401
+from .closed_forms import elliptic_period_advance
 from .core import ConfigPoint, SampledBikePath, _ell_value, angle_difference
 from .errors import EndpointMismatchError, InvalidPeriodError
 from .integrate import DEFAULT_STEP, ReducedState, integrate_geodesic
@@ -121,26 +127,21 @@ def build_shortcut(start, N, L, ell=1.0, step=DEFAULT_STEP, expected_end=None,
     return path
 
 
-def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP, probe_window=None):
-    """Measure (T, L) for the geodesic with momentum a, build the
-    shortcut at the threshold N, and compare lengths.
+def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):
+    """Build the shortcut at the threshold N for the geodesic with
+    momentum a and compare lengths.
 
-    Returns (report, geodesic_path, shortcut_path) where the geodesic
-    runs from its canonical vertex over exactly N periods and the
-    shortcut joins the same two configurations.  probe_window is the
-    arc length integrated to measure the period (default 60 * ell,
-    ample for momenta in [0.2, 4] away from the soliton limit a = 1).
+    (T, L) come from the elliptic closed form.  The geodesic is then
+    integrated from its canonical vertex over exactly N periods, and the
+    shortcut must land on the same configuration (N*L, 0, pi/2), which
+    checks the closed form against the integrator.  Returns
+    (report, geodesic_path, shortcut_path).
     """
     ell = _ell_value(ell)
-    if probe_window is None:
-        probe_window = 60.0 * ell
+    T, L = elliptic_period_advance(a, ell)
+    N = shortcut_threshold(T, L, ell)
     # vertex state in physical units: curvature scales as 1/ell
     start = ReducedState(0.0, 0.0, 0.5 * math.pi, (1.0 + float(a)) / ell, float(a))
-    probe = integrate_geodesic(start, probe_window, step, ell)
-    oriented, _g = canonical_orient(probe)
-    T, L = period_and_advance(oriented)
-    N = shortcut_threshold(T, L, ell)
-
     geo = integrate_geodesic(start, N * T, step, ell)
     end = geo.config(len(geo) - 1)
     cut = build_shortcut(ConfigPoint(0.0, 0.0, 0.5 * math.pi), N, L, ell,

@@ -260,7 +260,7 @@ def check_elastica_residual_grid():
     paths = geo.integrate_geodesics(states, 50.0, 1e-3)
     worst = 0.0
     for a, p in zip(RESIDUAL_GRID, paths):
-        r = analysis.energy_residual(p, analysis.elastica_params_from_a(a))
+        r = analysis.energy_residual(p, analysis.ElasticaParams.from_momentum(a))
         worst = max(worst, r)
     return worst <= 1e-6, f"max energy-form residual {worst:.2e} on a-grid (tol 1e-6)"
 
@@ -464,6 +464,17 @@ def check_soliton_geodesic_matches_closed_form():
     return gap <= 1e-6, f"geodesic front vs soliton closed form {gap:.2e} (tol 1e-6)"
 
 
+def check_period_advance_exact():
+    worst = 0.0
+    for a, p in _wide_narrow_paths().items():
+        oriented, _ = analysis.canonical_orient(p)
+        T, L = analysis.period_and_advance(oriented)
+        T_ref, L_ref = closed_forms.elliptic_period_advance(a)
+        worst = max(worst, abs(T - T_ref), abs(L - L_ref))
+    return worst <= 1e-6, (f"measured (T, L) vs elliptic closed form {worst:.2e} "
+                           f"on the width grid (tol 1e-6)")
+
+
 # ---------------------------------------------------------------------------
 # holonomy
 
@@ -612,7 +623,7 @@ def check_shortcut_grid():
     for a in SHORTCUT_GRID:
         report, _geodesic, cut = metriclines.shortcut_analysis(a)
         if report.L >= report.T:
-            return False, f"a={a}: measured L >= T"
+            return False, f"a={a}: L >= T"
         if report.margin < 1e-3:
             return False, f"a={a}: margin {report.margin:.2e} below 1e-3"
         res = float(horizontality_residuals(cut).max())
@@ -739,6 +750,7 @@ SUITES = {
         ("line_lift_theta_ode", check_line_lift_theta_ode),
         ("soliton_geodesic_matches_closed_form",
          check_soliton_geodesic_matches_closed_form),
+        ("period_advance_exact", check_period_advance_exact),
     ],
     "holonomy": [
         ("transport_monotone", check_transport_monotone),

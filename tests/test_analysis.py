@@ -7,8 +7,7 @@ import pytest
 
 from bikegeo import analysis
 from bikegeo.analysis import (ElasticaParams, back_width, canonical_orient,
-                              classify, elastica_params_from_a,
-                              energy_residual, find_vertices,
+                              classify, energy_residual, find_vertices,
                               fit_elastica_params, front_width,
                               period_and_advance, strip_width)
 from bikegeo.core import RigidMotion, SampledBikePath, act
@@ -32,16 +31,16 @@ def straight_path(n=2001):
 
 class TestElasticaParams:
     def test_soliton_regime(self):
-        p = elastica_params_from_a(1.0)
+        p = ElasticaParams.from_momentum(1.0)
         assert (p.A, p.B, p.mu) == (-1.0, 0.0, 0.0)
 
     def test_circle_regime(self):
-        p = elastica_params_from_a(0.0)
+        p = ElasticaParams.from_momentum(0.0)
         assert (p.A, p.B, p.mu) == (-0.5, -0.125, 1.0)
 
     def test_reciprocal_momenta_share_shape(self):
-        assert elastica_params_from_a(2.0).mu == pytest.approx(9 / 25, abs=1e-15)
-        assert elastica_params_from_a(0.5).mu == pytest.approx(9 / 25, abs=1e-15)
+        assert ElasticaParams.from_momentum(2.0).mu == pytest.approx(9 / 25, abs=1e-15)
+        assert ElasticaParams.from_momentum(0.5).mu == pytest.approx(9 / 25, abs=1e-15)
 
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError):
@@ -72,7 +71,7 @@ class TestClassify:
 class TestEnergyResidual:
     def test_integrated_geodesic(self, geodesic_cache):
         p = geodesic_cache(0.7)
-        r = energy_residual(p, elastica_params_from_a(0.7))
+        r = energy_residual(p, ElasticaParams.from_momentum(0.7))
         assert r <= 1e-6
 
     def test_straight_line_zero(self):
@@ -239,7 +238,7 @@ class TestFits:
     def test_recovers_energy_coefficients(self, geodesic_cache):
         p = geodesic_cache(0.7)
         fit = fit_elastica_params(p)
-        ref = elastica_params_from_a(0.7)
+        ref = ElasticaParams.from_momentum(0.7)
         assert abs(fit.A - ref.A) <= 1e-8
         assert abs(fit.B - ref.B) <= 1e-8
         assert abs(fit.mu - ref.mu) <= 1e-8

@@ -1,12 +1,17 @@
-"""Exact tractrix/soliton evaluators against their defining properties."""
+"""Exact tractrix/soliton evaluators and the elliptic period/advance
+pair against their defining properties."""
 
 import math
 
 import numpy as np
+import pytest
 
-from bikegeo.closed_forms import (line_lift_theta, soliton_arclength,
-                                  soliton_curvature, soliton_point,
-                                  tractrix_point)
+from bikegeo.analysis import canonical_orient, period_and_advance
+from bikegeo.closed_forms import (elliptic_period_advance, line_lift_theta,
+                                  soliton_arclength, soliton_curvature,
+                                  soliton_point, tractrix_point)
+from bikegeo.errors import NoPeriodError
+from bikegeo.integrate import canonical_vertex_state, integrate_geodesic
 from bikegeo import numdiff
 
 
@@ -93,3 +98,43 @@ class TestLineLiftTheta:
             dth = numdiff.deriv1_uniform(th, 1e-3)
             sl = numdiff.interior(t.size, 2)
             assert np.max(np.abs(ell * dth[sl] + np.sin(th[sl]))) <= 1e-9
+
+
+class TestEllipticPeriodAdvance:
+    def test_gap_limits(self):
+        # T - L -> 4*ell at the soliton limit a -> 1, where T diverges,
+        # and T - L -> 0 only in the line limit a -> inf
+        for a in (0.999, 1.001):
+            T, L = elliptic_period_advance(a)
+            assert T > 17.9
+            assert abs((T - L) - 4.0) <= 2.5e-3
+        T, L = elliptic_period_advance(1.0 - 1e-6)
+        assert abs((T - L) - 4.0) <= 1e-5
+        T, L = elliptic_period_advance(50.0)
+        assert 0.0 < T - L < 0.125
+
+    def test_ell_scaling(self):
+        for a in (0.3, 2.0):
+            T1, L1 = elliptic_period_advance(a)
+            for ell in (0.5, 3.0):
+                T, L = elliptic_period_advance(a, ell)
+                assert T == pytest.approx(ell * T1, rel=1e-15)
+                assert L == pytest.approx(ell * L1, rel=1e-15)
+
+    def test_rejects_aperiodic_and_invalid(self):
+        for a in (0.0, 1.0):
+            with pytest.raises(NoPeriodError):
+                elliptic_period_advance(a)
+        for a in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                elliptic_period_advance(a)
+
+    def test_near_soliton_matches_rk4(self):
+        # the complementary-parameter form keeps K accurate where
+        # 1 - m = 2.5e-13; RK4 measures (T, L) over one period
+        a = 1.0 - 1e-6
+        T_ref, L_ref = elliptic_period_advance(a)
+        p = integrate_geodesic(canonical_vertex_state(a), T_ref + 2.0, 1e-3)
+        T, L = period_and_advance(canonical_orient(p)[0])
+        assert abs(T - T_ref) <= 1e-6
+        assert abs(L - L_ref) <= 1e-6

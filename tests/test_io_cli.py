@@ -97,6 +97,28 @@ class TestCli:
         assert payload["error"] == "usage"
         assert "\n" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--a", "0.5", "--t-end", "inf"],
+        ["geodesic", "--a", "0.5", "--x0", "nan"],
+        ["classify", "--a", "nan", "--kappa0", "1"],
+        ["classify", "--a", "0.5", "--kappa0", "inf"],
+        ["lift", "--t0", "nan"],
+        ["correspond", "--radius", "inf"],
+        ["correspond", "--radius", "0"],
+        ["shortcut", "--a", "-0.5"],
+        ["shortcut", "--a", "0.5", "--ell=-inf"],
+        ["plot", "--preset", "fig-kink", "--step", "nan"],
+    ], ids="_".join)
+    def test_bad_float_is_one_json_line(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BIKEGEO_OUTPUT_DIR", str(tmp_path))
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "usage"
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_flag_rejected(self, capsys):
         rc = cli.main(["geodesic", "--a", "0.5", "--bogus", "1"])
         assert rc == 1
@@ -167,7 +189,7 @@ class TestCli:
 
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
-        rc = cli.main(["verify", "--suite", "cli_io"])
+        rc = cli.main(["verify", "--suite", "metriclines"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out and "FAIL" not in out
