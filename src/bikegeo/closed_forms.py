@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.special import ellipe, ellipkm1
+from scipy.special import ellipkm1, elliprd, elliprf
 
 from .analysis import CLASS_TOL
 from .core import _ell_value
@@ -105,6 +105,9 @@ def elliptic_period_advance(a, ell=1.0):
     both in units of ell.  K is evaluated through ellipkm1(p), which
     keeps full precision near the soliton limit a -> 1 where T diverges
     logarithmically; T - L tends to 4*ell there and to 0 as a -> inf.
+    L is evaluated in the Carlson form 4 (2 R_D(0,p,1)/3 - R_F(0,p,1)) / (1+a),
+    where the O(1) terms of the E-form cancel analytically, so L ~ pi a
+    keeps its precision as a -> 0.
     Circles (a = 0) and solitons (a = 1), as classified within
     CLASS_TOL, have no period and raise NoPeriodError.
     """
@@ -116,5 +119,6 @@ def elliptic_period_advance(a, ell=1.0):
         raise NoPeriodError(f"no curvature period at a={a}: circle or soliton")
     p = ((1.0 - a) / (1.0 + a)) ** 2
     T = 4.0 * float(ellipkm1(p)) / (1.0 + a)
-    L = ((1.0 + a * a) * T - 4.0 * (1.0 + a) * float(ellipe(1.0 - p))) / (2.0 * a)
+    L = 4.0 * (2.0 * float(elliprd(0.0, p, 1.0)) / 3.0
+               - float(elliprf(0.0, p, 1.0))) / (1.0 + a)
     return ell * T, ell * L

@@ -191,6 +191,8 @@ class SampledBikePath:
             raise ValueError("t must be (n,), front must be (n, 2)")
         if theta.shape != t.shape or kappa.shape != t.shape:
             raise ValueError("theta and kappa must match t in shape")
+        if not all(np.all(np.isfinite(arr)) for arr in (t, front, theta, kappa)):
+            raise ValueError("t, front, theta and kappa must be finite")
         if t.size >= 2 and not np.all(np.diff(t) > 0):
             raise ValueError("t must be strictly increasing")
         for arr in (t, front, theta, kappa):

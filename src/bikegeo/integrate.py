@@ -8,8 +8,14 @@ reduced four-dimensional system in (x, y, theta, kappa) with a single
 momentum parameter a >= 0, in which kappa is exactly the signed
 curvature of the front track.
 
-Everything integrates with classical fixed-step RK4.  Conserved
+Geodesics integrate with classical fixed-step RK4.  Conserved
 quantities are reported as drift, never projected back.
+
+The horizontal lift ell * theta' = cos(theta) * y' - sin(theta) * x' is
+a Riccati equation, linear on v = (sin(theta/2), cos(theta/2)):
+v' = A v with A = [[-x', y'], [y', x']] / (2 ell).  One RK4 step of it
+is a 2x2 matrix, acting on the fiber circle as a Moebius map, and the
+lift to every sample is the running product of these matrices.
 """
 
 import math
@@ -23,6 +29,9 @@ from . import numdiff
 from .errors import DivergenceError, ImmersionError, NotUnitSpeedError
 
 DEFAULT_STEP = 1e-3
+# Largest number of steps on one time grid, checked before anything is
+# allocated: a single geodesic at the budget holds 32 MB of trajectory.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -162,6 +171,9 @@ def _rk4(rhs, y0, h, n_steps):
 def _grid(t_end, step):
     if not (step > 0 and t_end > 0):
         raise ValueError("step and t_end must be positive")
+    if not (t_end / step <= MAX_STEPS):
+        raise ValueError(f"t_end / step = {t_end / step:.3g} exceeds the "
+                         f"budget of {MAX_STEPS} steps")
     n = max(1, math.ceil(round(t_end / step, 9)))
     h = t_end / n
     return n, h
@@ -270,8 +282,9 @@ class FrontTrackSpec:
     arc_length: bool = False
 
     def __post_init__(self):
-        if not (self.t1 > self.t0):
-            raise ValueError("need t1 > t0")
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)
+                and self.t1 > self.t0):
+            raise ValueError("need finite t0 < t1")
 
     @classmethod
     def line(cls, t0=0.0, t1=20.0):
@@ -287,11 +300,11 @@ class FrontTrackSpec:
     def circle(cls, radius=1.0, t0=0.0, t1=None, center=(0.0, 0.0)):
         """Counterclockwise circle, parametrized by arc length."""
         r = float(radius)
-        if r <= 0:
-            raise ValueError("radius must be positive")
+        cx, cy = center
+        if not (0.0 < r < math.inf and math.isfinite(cx) and math.isfinite(cy)):
+            raise ValueError("radius must be finite and positive, center finite")
         if t1 is None:
             t1 = t0 + 2.0 * math.pi * r
-        cx, cy = center
 
         def curve(t):
             ang = np.asarray(t, dtype=float) / r
@@ -313,18 +326,10 @@ class FrontTrackSpec:
                    t0=float(t0), t1=float(t1), arc_length=arc_length)
 
 
-def _lift_stage_data(track, step):
-    """Sample the track and its derivative at grid and half-grid points."""
-    n, h = _grid(track.t1 - track.t0, step)
-    t = track.t0 + np.arange(n + 1) * h
-    t_half = t[:-1] + 0.5 * h
-    c_grid = np.asarray(track.curve(t), dtype=float).reshape(n + 1, 2)
-    d_grid = np.asarray(track.derivative(t), dtype=float).reshape(n + 1, 2)
-    d_half = np.asarray(track.derivative(t_half), dtype=float).reshape(n, 2)
-    speeds = np.hypot(d_grid[:, 0], d_grid[:, 1])
-    if np.min(speeds) < 1e-9 * max(1.0, float(np.max(speeds))):
-        raise ImmersionError("front track has (near-)vanishing velocity")
-    return t, h, c_grid, d_grid, d_half, speeds
+def _lift_generator(d, ell):
+    """Generator A = [[-x', y'], [y', x']] / (2 ell), shape (..., 2, 2)."""
+    a = np.stack([-d[..., 0], d[..., 1], d[..., 1], d[..., 0]], axis=-1)
+    return a.reshape(d.shape[:-1] + (2, 2)) / (2.0 * ell)
 
 
 def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
@@ -338,29 +343,37 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     which is the no-skid condition for any parametrization.
     """
     ell = _ell_value(ell)
-    t, h, _c, d_grid, d_half, _sp = _lift_stage_data(track, step)
-    n = t.size - 1
+    n, h = _grid(track.t1 - track.t0, step)
+    t = track.t0 + np.arange(n + 1) * h
+    d_grid = np.asarray(track.derivative(t), dtype=float).reshape(n + 1, 2)
+    d_half = np.asarray(track.derivative(t[:-1] + 0.5 * h),
+                        dtype=float).reshape(n, 2)
+    speeds = np.hypot(d_grid[:, 0], d_grid[:, 1])
+    if np.min(speeds) < 1e-9 * max(1.0, float(np.max(speeds))):
+        raise ImmersionError("front track has (near-)vanishing velocity")
+    eye = np.eye(2)
+    a = _lift_generator(d_grid, ell)
+    ah = _lift_generator(d_half, ell)
+    k2 = ah @ (eye + 0.5 * h * a[:-1])
+    k3 = ah @ (eye + 0.5 * h * k2)
+    k4 = a[1:] @ (eye + h * k3)
+    maps = np.concatenate(
+        [eye[None], eye + (h / 6.0) * (a[:-1] + 2.0 * k2 + 2.0 * k3 + k4)])
+    # maps[i] = M[i-1]...M[0] by doubling; positive rescaling stops overflow
+    for k in (1 << r for r in range(n.bit_length())):
+        maps[k:] = maps[k:] @ maps[:-k]
+        maps /= np.max(np.abs(maps), axis=(1, 2), keepdims=True)
     theta0 = np.asarray(theta0, dtype=float)
-    th = np.array(theta0, dtype=float)
-    out = np.empty((n + 1,) + th.shape)
-    out[0] = th
-
-    def slope(theta, dxy):
-        return (np.cos(theta) * dxy[1] - np.sin(theta) * dxy[0]) / ell
-
-    for i in range(n):
-        d0 = d_grid[i]
-        dh = d_half[i]
-        d1 = d_grid[i + 1]
-        k1 = slope(th, d0)
-        k2 = slope(th + 0.5 * h * k1, dh)
-        k3 = slope(th + 0.5 * h * k2, dh)
-        k4 = slope(th + h * k3, d1)
-        th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(th)):
-            raise DivergenceError(f"non-finite frame angle at t = {t[i + 1]!r}",
-                                  t=float(t[i + 1]))
-        out[i + 1] = th
+    out = np.empty((n + 1,) + theta0.shape)
+    columns = out.reshape(n + 1, -1)
+    for j, th0 in enumerate(theta0.ravel()):
+        v = np.array([np.sin(0.5 * th0), np.cos(0.5 * th0)])
+        phi = 2.0 * np.arctan2(maps[:, 0] @ v, maps[:, 1] @ v)
+        columns[:, j] = th0 + (np.unwrap(phi) - phi[0])
+    bad = np.flatnonzero(~np.isfinite(columns).all(axis=1))
+    if bad.size:
+        raise DivergenceError(f"non-finite frame angle at t = {t[bad[0]]}",
+                              t=float(t[bad[0]]))
     return t, out
 
 

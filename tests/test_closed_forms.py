@@ -129,6 +129,13 @@ class TestEllipticPeriodAdvance:
             with pytest.raises(ValueError):
                 elliptic_period_advance(a)
 
+    @pytest.mark.parametrize("a", [1e-8, 1e-6, 1e-4])
+    def test_small_momentum_advance(self, a):
+        # near the circle limit L = pi a (1 + 3a^2/8 + O(a^4)); the E-form
+        # of L cancels O(1) terms and loses it to roundoff there
+        _T, L = elliptic_period_advance(a)
+        assert abs(L / (math.pi * a * (1.0 + 3.0 * a * a / 8.0)) - 1.0) <= 1e-6
+
     def test_near_soliton_matches_rk4(self):
         # the complementary-parameter form keeps K accurate where
         # 1 - m = 2.5e-13; RK4 measures (T, L) over one period

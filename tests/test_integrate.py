@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from bikegeo.closed_forms import line_lift_theta, soliton_point, tractrix_point
-from bikegeo.core import act, dilate_path
+from bikegeo.core import SampledBikePath, act, dilate_path
 from bikegeo.errors import (DivergenceError, ImmersionError,
                             NotUnitSpeedError)
 from bikegeo.integrate import (CotangentState, FrontTrackSpec, ReducedState,
                                _rk4, canonical_vertex_state, canonicalize,
                                hamiltonian_rhs, horizontal_lift,
                                integrate_geodesic, integrate_geodesics,
-                               reduced_rhs, soliton_vertex_state)
+                               lift_frame_angles, reduced_rhs,
+                               soliton_vertex_state)
 from bikegeo import numdiff
 
 
@@ -213,6 +214,57 @@ class TestHorizontalLift:
         doubled = horizontal_lift(FrontTrackSpec.line(0.0, 20.0), theta0, 2.0, 2e-3)
         ref = dilate_path(unit, 2.0)
         assert np.max(np.abs(doubled.back - ref.back)) <= 1e-9
+
+
+def circle_lift_theta(s, theta0, radius, ell):
+    """Frame angle along the counterclockwise circle of radius > ell
+    from the Riccati closed form; valid while |tan(theta0/2)| < k."""
+    alpha = 0.5 * (1.0 / ell - 1.0 / radius)
+    beta = 0.5 * (1.0 / ell + 1.0 / radius)
+    k, omega = math.sqrt(alpha / beta), math.sqrt(alpha * beta)
+    c = np.arctanh(np.tan(0.5 * np.asarray(theta0)) / k)
+    return s / radius + 2.0 * np.arctan(k * np.tanh(omega * s + c))
+
+
+class TestLiftFrameAngles:
+    @pytest.mark.parametrize("radius, ell", [(2.0, 1.0), (3.0, 1.3), (5.0, 0.7)])
+    def test_circle_matches_riccati_closed_form(self, radius, ell):
+        theta0 = np.array([-0.8, -0.3, 0.0, 0.2, 0.5])
+        track = FrontTrackSpec.circle(radius, 0.0, 4.0 * math.pi * radius)
+        t, theta = lift_frame_angles(track, theta0, ell, 1e-3)
+        assert np.array_equal(theta[0], theta0)
+        ref = circle_lift_theta(t[:, None], theta0, radius, ell)
+        assert np.max(np.abs(theta - ref)) <= 1e-9
+
+    def test_long_ride_stays_on_closed_form(self):
+        # 2e5 steps: the running transport product must be rescaled or
+        # its entries overflow long before the end of the ride
+        track = FrontTrackSpec.circle(2.0, 0.0, 2000.0)
+        t, theta = lift_frame_angles(track, 0.3, 1.0, 1e-2)
+        assert np.max(np.abs(theta - circle_lift_theta(t, 0.3, 2.0, 1.0))) <= 1e-8
+
+    def test_nan_derivative_reports_time(self):
+        def derivative(t):
+            t = np.asarray(t, dtype=float)
+            ones = np.where(t < 0.5, 1.0, np.nan)
+            return np.stack([ones, np.zeros_like(t)], axis=-1)
+
+        track = FrontTrackSpec(lambda t: np.zeros(np.shape(t) + (2,)),
+                               derivative, 0.0, 1.0)
+        with pytest.raises(DivergenceError) as err:
+            lift_frame_angles(track, [0.1, 0.4], 1.0, 1e-2)
+        assert err.value.t == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: FrontTrackSpec.line(0.0, math.inf),
+    lambda: FrontTrackSpec.circle(math.inf, 0.0, 1.0),
+    lambda: SampledBikePath([0.0, 1.0], [[0.0, 0.0], [1.0, math.nan]],
+                            [0.0, 0.0], [0.0, 0.0]),
+], ids=["line_t1_inf", "circle_radius_inf", "path_nan_front"])
+def test_non_finite_input_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_energy_conservation_short():

@@ -100,6 +100,7 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["geodesic", "--a", "0.5", "--t-end", "inf"],
         ["geodesic", "--a", "0.5", "--x0", "nan"],
+        ["geodesic", "--a", "0.5", "--step", "1e-12"],
         ["classify", "--a", "nan", "--kappa0", "1"],
         ["classify", "--a", "0.5", "--kappa0", "inf"],
         ["lift", "--t0", "nan"],
@@ -210,7 +211,8 @@ class TestVerifyCommand:
 
 class TestMutationSmoke:
     """A deliberately injected sign error in the reduced flow must trip
-    at least three independent verification suites (development fixture)."""
+    at least three independent verification suites, one in the frame
+    transport at least two (development fixture)."""
 
     def test_sign_error_fails_suites(self, monkeypatch):
         good = geo._reduced_rhs_arr
@@ -235,3 +237,29 @@ class TestMutationSmoke:
                 ok = False
             failed_suites += not ok
         assert failed_suites >= 3
+
+    def test_lift_sign_error_fails_suites(self, monkeypatch):
+        good = geo._lift_generator
+
+        def broken(d, ell):
+            a = good(d, ell)
+            a[..., 0, 0] = -a[..., 0, 0]  # wrong sign on x' in the
+            a[..., 1, 1] = -a[..., 1, 1]  # frame-transport generator
+            return a
+
+        monkeypatch.setattr(geo, "_lift_generator", broken)
+        probes = [
+            ("holonomy", verify.check_correspondent_involution),
+            ("holonomy", verify.check_pressurized),
+            ("holonomy", verify.check_correspondent_of_line),
+            ("closed_forms", verify.check_lift_matches_closed_forms),
+        ]
+        failed = set()
+        for suite, fn in probes:
+            try:
+                ok, _ = fn()
+            except Exception:
+                ok = False
+            if not ok:
+                failed.add(suite)
+        assert failed == {"holonomy", "closed_forms"}
