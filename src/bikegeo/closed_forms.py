@@ -105,9 +105,11 @@ def elliptic_period_advance(a, ell=1.0):
     both in units of ell.  K is evaluated through ellipkm1(p), which
     keeps full precision near the soliton limit a -> 1 where T diverges
     logarithmically; T - L tends to 4*ell there and to 0 as a -> inf.
-    L is evaluated in the Carlson form 4 (2 R_D(0,p,1)/3 - R_F(0,p,1)) / (1+a),
-    where the O(1) terms of the E-form cancel analytically, so L ~ pi a
-    keeps its precision as a -> 0.
+    L is evaluated in the Carlson form 4 (2 R_D(0,p,1)/3 - R_F(0,p,1)) / (1+a).
+    Its two terms still both tend to pi/2 as a -> 0, but L ~ pi a is
+    their O(a) difference, not the O(a^2) one of the E-form, so the
+    relative error of L grows like eps/a instead of eps/a^2 and stays
+    below about 3e-7 down to CLASS_TOL.
     Circles (a = 0) and solitons (a = 1), as classified within
     CLASS_TOL, have no period and raise NoPeriodError.
     """

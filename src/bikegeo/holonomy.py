@@ -5,8 +5,10 @@ angle: the map from initial to final angle is a diffeomorphism of the
 fiber circle, and it is a linear fractional (Moebius) transformation in
 the half-angle chart u = tan(theta/2).  The lift in `integrate` computes
 the transport as a product of 2x2 matrices acting on that chart; this
-module reads transports off it, fits the Moebius map from fiber samples
-independently of that product, builds bicycle correspondents
+module reads transports off it, fits a Moebius map through fiber samples
+(for samples read off that product the fit holds by construction, so the
+verification suites feed it samples of an independent theta integrator),
+builds bicycle correspondents
 (front tracks sharing a back track, obtained by flipping a lift), and
 fits the pressurized elastica equation
 

@@ -478,19 +478,47 @@ def check_period_advance_exact():
 # ---------------------------------------------------------------------------
 # holonomy
 
+def _theta_rk4(track, thetas, step=2e-4):
+    """Final frame angles from RK4 on the nonlinear theta equation (ell = 1).
+
+    An oracle independent of the lift's 2x2 matrix product, so the fiber
+    checks below test the Moebius property of the transport itself (RK4
+    on theta keeps it only to the order of the scheme) and the lift
+    against it.  The state rows are (t, theta).
+    """
+    n, h = geo._grid(track.t1 - track.t0, step)
+
+    def rhs(y):
+        d = np.asarray(track.derivative(y[:, 0]), dtype=float)
+        dy = np.ones_like(y)
+        dy[:, 1] = np.cos(y[:, 1]) * d[:, 1] - np.sin(y[:, 1]) * d[:, 0]
+        return dy
+
+    thetas = np.asarray(thetas, dtype=float)
+    y0 = np.stack([np.full_like(thetas, track.t0), thetas], axis=1)
+    return geo._rk4(rhs, y0, h, n)[-1, :, 1]
+
+
+def _lift_gap(track, thetas, oracle, step=2e-4):
+    """Worst gap between the library lift and the theta-RK4 oracle."""
+    _t, th = geo.lift_frame_angles(track, thetas, 1.0, step)
+    return float(np.max(np.abs(th[-1] - oracle)))
+
+
 def check_transport_monotone():
     rng = np.random.default_rng(41)
     track = _random_immersed_track(rng)
     thetas = np.linspace(-math.pi, math.pi, 64, endpoint=False) + 0.01
-    _t, th = geo.lift_frame_angles(track, thetas, 1.0, 2e-4)
-    out = th[-1]
+    out = _theta_rk4(track, thetas)
     monotone = bool(np.all(np.diff(out) > 0))
     # degree 1: transporting theta + 2*pi lands exactly 2*pi higher
-    _t2, th2 = geo.lift_frame_angles(track, thetas[:4] + 2 * math.pi, 1.0, 2e-4)
-    wrap_gap = float(np.max(np.abs(th2[-1] - out[:4] - 2 * math.pi)))
-    ok = monotone and wrap_gap < 1e-9
+    out2 = _theta_rk4(track, thetas[:4] + 2 * math.pi)
+    wrap_gap = float(np.max(np.abs(out2 - out[:4] - 2 * math.pi)))
+    lift_gap = _lift_gap(track, thetas, out)
+    ok = monotone and wrap_gap < 1e-9 and lift_gap <= 1e-9
     return ok, (f"strictly monotone: {monotone}; degree-1 wrap gap "
-                f"{wrap_gap:.2e} (tol 1e-9)")
+                f"{wrap_gap:.2e} (tol 1e-9); lift vs theta-RK4 "
+                f"{lift_gap:.2e} (tol 1e-9)")
 
 
 def check_transport_composition_reparam():
@@ -525,38 +553,41 @@ def check_transport_composition_reparam():
 
 def _mobius_residual(track, rng_offset=0.0, step=2e-4):
     thetas = np.linspace(-math.pi, math.pi, 12, endpoint=False) + 0.05 + rng_offset
-    samples = holonomy.transport_samples(track, thetas, 1.0, step)
+    out = _theta_rk4(track, thetas, step)
+    samples = [holonomy.TransportSample(a, b) for a, b in zip(thetas, out)]
     _mob, resid = holonomy.fit_mobius(samples)
-    return resid, samples
+    return resid, _lift_gap(track, thetas, out, step)
 
 
 def check_mobius_universal():
     rng = np.random.default_rng(47)
-    worst = 0.0
-    for _ in range(10):
-        track = _random_immersed_track(rng)
-        resid, _ = _mobius_residual(track)
-        worst = max(worst, resid)
-    circle = geo.FrontTrackSpec.circle(1.3, 0.0, 5.0)
-    worst = max(worst, _mobius_residual(circle, step=1e-3)[0])
+    worst = gap = 0.0
+    tracks = [(_random_immersed_track(rng), 2e-4) for _ in range(10)]
+    tracks.append((geo.FrontTrackSpec.circle(1.3, 0.0, 5.0), 1e-3))
     front = geo.integrate_geodesic(geo.canonical_vertex_state(0.6), 8.0, 1e-3)
-    spec = _spline_from_path(front)
-    worst = max(worst, _mobius_residual(spec, step=1e-3)[0])
-    return worst <= 1e-6, f"max Moebius fit residual {worst:.2e} (tol 1e-6)"
+    tracks.append((_spline_from_path(front), 1e-3))
+    for track, step in tracks:
+        resid, lift_gap = _mobius_residual(track, step=step)
+        worst, gap = max(worst, resid), max(gap, lift_gap)
+    ok = worst <= 1e-6 and gap <= 1e-9
+    return ok, (f"max Moebius fit residual {worst:.2e} (tol 1e-6); "
+                f"lift vs theta-RK4 {gap:.2e} (tol 1e-9)")
 
 
 def check_cross_ratio_preserved():
     rng = np.random.default_rng(53)
-    worst = 0.0
+    probe = np.array([-2.0, -0.7, 0.5, 1.8])
+    worst = gap = 0.0
     for _ in range(10):
         track = _random_immersed_track(rng)
-        probe = np.array([-2.0, -0.7, 0.5, 1.8])
-        samples = holonomy.transport_samples(track, probe, 1.0, 2e-4)
-        cr_in = holonomy.cross_ratio_angles([s.theta_in for s in samples])
-        cr_out = holonomy.cross_ratio_angles(
-            normalize_angles([s.theta_out for s in samples]))
+        out = _theta_rk4(track, probe)
+        cr_in = holonomy.cross_ratio_angles(probe)
+        cr_out = holonomy.cross_ratio_angles(normalize_angles(out))
         worst = max(worst, abs(cr_in - cr_out))
-    return worst <= 1e-6, f"max cross-ratio drift {worst:.2e} (tol 1e-6)"
+        gap = max(gap, _lift_gap(track, probe, out))
+    ok = worst <= 1e-6 and gap <= 1e-9
+    return ok, (f"max cross-ratio drift {worst:.2e} (tol 1e-6); "
+                f"lift vs theta-RK4 {gap:.2e} (tol 1e-9)")
 
 
 def check_correspondent_involution():

@@ -211,8 +211,8 @@ class TestVerifyCommand:
 
 class TestMutationSmoke:
     """A deliberately injected sign error in the reduced flow must trip
-    at least three independent verification suites, one in the frame
-    transport at least two (development fixture)."""
+    at least three independent verification suites, and one in the
+    frame-transport generator every lift probe (development fixture)."""
 
     def test_sign_error_fails_suites(self, monkeypatch):
         good = geo._reduced_rhs_arr
@@ -249,17 +249,18 @@ class TestMutationSmoke:
 
         monkeypatch.setattr(geo, "_lift_generator", broken)
         probes = [
-            ("holonomy", verify.check_correspondent_involution),
-            ("holonomy", verify.check_pressurized),
-            ("holonomy", verify.check_correspondent_of_line),
-            ("closed_forms", verify.check_lift_matches_closed_forms),
+            verify.check_transport_monotone,
+            verify.check_correspondent_involution,
+            verify.check_pressurized,
+            verify.check_correspondent_of_line,
+            verify.check_lift_matches_closed_forms,
         ]
-        failed = set()
-        for suite, fn in probes:
+        passed = []
+        for fn in probes:
             try:
                 ok, _ = fn()
             except Exception:
                 ok = False
-            if not ok:
-                failed.add(suite)
-        assert failed == {"holonomy", "closed_forms"}
+            if ok:
+                passed.append(fn.__name__)
+        assert passed == []
