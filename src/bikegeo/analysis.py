@@ -60,8 +60,14 @@ class ElasticaParams:
         if a < 0:
             raise ValueError("momentum parameter a must be >= 0")
         A = -(a * a + 1.0) / 2.0
-        B = -((a * a - 1.0) ** 2) / 8.0 + 0.0  # avoid -0.0 at a = 1
-        mu = (a * a - 1.0) ** 2 / (a * a + 1.0) ** 2
+        try:
+            B = -((a * a - 1.0) ** 2) / 8.0 + 0.0  # avoid -0.0 at a = 1
+            mu = (a * a - 1.0) ** 2 / (a * a + 1.0) ** 2
+            if not math.isfinite(mu):  # a * a itself overflowed
+                raise OverflowError
+        except OverflowError:
+            raise ValueError(f"momentum parameter a = {a!r} is too large: "
+                             "the energy-form coefficients overflow") from None
         return cls(A, B, mu, a)
 
 
@@ -157,16 +163,10 @@ def _raw_extrema(kappa):
     dk = np.diff(kappa)
     rising = dk > 0
     falling = dk < 0
-    idx = []
-    kinds = []
-    for i in range(1, kappa.size - 1):
-        if rising[i - 1] and not rising[i]:
-            idx.append(i)
-            kinds.append("max")
-        elif falling[i - 1] and not falling[i]:
-            idx.append(i)
-            kinds.append("min")
-    return idx, kinds
+    is_max = rising[:-1] & ~rising[1:]
+    is_min = falling[:-1] & ~falling[1:]
+    idx = np.flatnonzero(is_max | is_min)
+    return (idx + 1).tolist(), np.where(is_max[idx], "max", "min").tolist()
 
 
 def _prune_jitter(entries, krange):

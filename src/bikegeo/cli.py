@@ -23,9 +23,6 @@ from . import io as pathio
 from .core import flip_path
 from .errors import BikeGeoError, DivergenceError
 
-PLOT_PRESETS = ("fig-elastica", "fig-geod", "fig-kink", "fig-shortcut",
-                "fig-pressurized")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
@@ -114,7 +111,7 @@ def _build_parser():
                    help="suite name or 'all' (repeatable)")
 
     p = sub.add_parser("plot", help="render one of the standard figures")
-    p.add_argument("--preset", choices=PLOT_PRESETS, required=True)
+    p.add_argument("--preset", choices=tuple(PLOT_PRESETS), required=True)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--output")
     p.set_defaults(format="svg")
@@ -154,8 +151,9 @@ def _geodesic_state(args):
     elif k == 0.0:
         theta0 = 0.0
     else:
-        sin_theta = (k * k + a * a - 1.0) / (2.0 * a * k)
-        if abs(sin_theta) > 1.0 + 1e-12:
+        denom = 2.0 * a * k  # underflows to 0 only far from unit speed
+        sin_theta = (k * k + a * a - 1.0) / denom if denom else math.inf
+        if not abs(sin_theta) <= 1.0 + 1e-12:
             raise _UsageError(
                 f"kappa0={kappa0} is inadmissible for a={a} at unit speed")
         theta0 = math.asin(max(-1.0, min(1.0, sin_theta)))
@@ -297,16 +295,18 @@ def _scene_pressurized(step):
     return scene
 
 
+PLOT_PRESETS = {
+    "fig-elastica": _scene_elastica,
+    "fig-geod": _scene_geod,
+    "fig-kink": _scene_kink,
+    "fig-shortcut": _scene_shortcut,
+    "fig-pressurized": _scene_pressurized,
+}
+
+
 def _cmd_plot(args):
-    builders = {
-        "fig-elastica": _scene_elastica,
-        "fig-geod": _scene_geod,
-        "fig-kink": _scene_kink,
-        "fig-shortcut": _scene_shortcut,
-        "fig-pressurized": _scene_pressurized,
-    }
-    scene = builders[args.preset](args.step)
-    out = args.output or _output_path(args, args.preset + ".svg")
+    scene = PLOT_PRESETS[args.preset](args.step)
+    out = _output_path(args, args.preset + ".svg")
     pathio.write_svg(scene, out)
     print(out)
     return EXIT_OK
@@ -328,7 +328,10 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = _validated(parser.parse_args(argv))
-        return _COMMANDS[args.command](args)
+        # a non-finite result is rejected by the library and reported as
+        # the one JSON error line, so numpy's warnings would only add noise
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         _emit_error("usage", exc)
         return EXIT_USAGE

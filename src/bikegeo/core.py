@@ -129,11 +129,6 @@ class RigidMotion:
         """Reflection about the x-axis."""
         return cls(0.0, (0.0, 0.0), -1)
 
-    @classmethod
-    def reflection_about_horizontal(cls, y0):
-        """Reflection about the horizontal line y = y0."""
-        return cls(0.0, (0.0, 2.0 * float(y0)), -1)
-
     @property
     def linear_matrix(self):
         c, s = math.cos(self.rotation), math.sin(self.rotation)
@@ -222,14 +217,6 @@ class SampledBikePath:
         fx = np.interp(tq, self.t, self.front[:, 0])
         fy = np.interp(tq, self.t, self.front[:, 1])
         return np.stack([fx, fy], axis=-1)
-
-    def theta_at(self, tq):
-        """Frame angle (continuous branch) at parameter tq."""
-        return np.interp(np.asarray(tq, dtype=float), self.t, self.theta)
-
-    def with_drift(self, drift):
-        return SampledBikePath(self.t, self.front, self.theta, self.kappa,
-                               self.ell, float(drift))
 
 
 def to_st_model(p, ell=1.0):

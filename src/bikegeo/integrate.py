@@ -3,10 +3,11 @@
 The unit-speed geodesics of the no-skid geometry are the projections of
 the Hamiltonian flow of H = (P1^2 + P2^2)/2 on the cotangent bundle,
 with P1 = px - sin(theta) * ptheta and P2 = py + cos(theta) * ptheta.
-px and py are conserved; rotating them onto the x-axis leaves the
-reduced four-dimensional system in (x, y, theta, kappa) with a single
-momentum parameter a >= 0, in which kappa is exactly the signed
-curvature of the front track.
+px and py are conserved; rotating them onto (a, 0) with a >= 0 gives
+the reduced system in (x, y, theta, kappa), which is the same flow with
+ptheta = kappa, the signed curvature of the front track.  A reduced
+state is therefore integrated as the cotangent point (px, py) = (a, 0),
+and every batch runs through one flow on rows (x, y, theta, ptheta).
 
 Geodesics integrate with classical fixed-step RK4.  Conserved
 quantities are reported as drift, never projected back.
@@ -24,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import RigidMotion, SampledBikePath, _ell_value, dilate_path
+from .core import RigidMotion, SampledBikePath, _ell_value
 from . import numdiff
 from .errors import DivergenceError, ImmersionError, NotUnitSpeedError
 
@@ -32,6 +33,9 @@ DEFAULT_STEP = 1e-3
 # Largest number of steps on one time grid, checked before anything is
 # allocated: a single geodesic at the budget holds 32 MB of trajectory.
 MAX_STEPS = 10**6
+# Largest number of samples times batch width (states or fiber angles)
+# on one grid: four trajectories at the step budget, 128 MB of geodesics.
+_MAX_BATCH_SAMPLES = 4 * MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -72,11 +76,6 @@ class ReducedState:
         if not (self.a >= 0.0):
             raise ValueError("momentum parameter a must be >= 0")
 
-    def speed_squared(self):
-        """Front speed squared; equals 1 on unit-speed trajectories."""
-        s = math.sin(self.theta)
-        return self.kappa**2 - 2.0 * self.a * s * self.kappa + self.a**2
-
 
 def canonical_vertex_state(a):
     """Reduced state at a maximum-curvature vertex in canonical pose:
@@ -95,35 +94,26 @@ def _full_rhs_arr(y, px, py):
     th = y[..., 2]
     pth = y[..., 3]
     s, c = np.sin(th), np.cos(th)
-    return np.stack(
-        [px - s * pth,
-         py + c * pth,
-         pth + c * py - s * px,
-         pth * (c * px + s * py)],
-        axis=-1)
-
-
-def _reduced_rhs_arr(y, a):
-    """Vectorized right-hand side of the reduced system on (..., 4)
-    arrays ordered (x, y, theta, kappa)."""
-    th = y[..., 2]
-    k = y[..., 3]
-    s, c = np.sin(th), np.cos(th)
-    return np.stack([a - s * k, c * k, k - a * s, a * c * k], axis=-1)
+    d = np.empty_like(y)
+    d[..., 0] = px - s * pth
+    d[..., 1] = py + c * pth
+    d[..., 2] = pth + c * py - s * px
+    d[..., 3] = pth * (c * px + s * py)
+    return d
 
 
 def hamiltonian_rhs(state):
     """Time derivative (x', y', theta', px', py', ptheta') of the full
     system at a cotangent state.  px and py are conserved."""
-    y = np.array([state.x, state.y, state.theta, state.ptheta])
+    y = np.array([state.x, state.y, state.theta, state.ptheta], dtype=float)
     d = _full_rhs_arr(y, state.px, state.py)
     return np.array([d[0], d[1], d[2], 0.0, 0.0, d[3]])
 
 
 def reduced_rhs(state):
     """Time derivative (x', y', theta', kappa') of the reduced system."""
-    y = np.array([state.x, state.y, state.theta, state.kappa])
-    return _reduced_rhs_arr(y, state.a)
+    y = np.array([state.x, state.y, state.theta, state.kappa], dtype=float)
+    return _full_rhs_arr(y, state.a, 0.0)
 
 
 def canonicalize(state, tol=1e-9):
@@ -168,21 +158,20 @@ def _rk4(rhs, y0, h, n_steps):
     return traj
 
 
-def _grid(t_end, step):
+def _grid(t_end, step, width=1):
+    """Step count and size covering t_end for width trajectories, checked
+    against the step and batch budgets before anything is allocated."""
     if not (step > 0 and t_end > 0):
         raise ValueError("step and t_end must be positive")
     if not (t_end / step <= MAX_STEPS):
         raise ValueError(f"t_end / step = {t_end / step:.3g} exceeds the "
                          f"budget of {MAX_STEPS} steps")
     n = max(1, math.ceil(round(t_end / step, 9)))
+    if (n + 1) * width > _MAX_BATCH_SAMPLES:
+        raise ValueError(f"{width} trajectories of {n + 1} samples exceed the "
+                         f"batch budget of {_MAX_BATCH_SAMPLES} samples")
     h = t_end / n
     return n, h
-
-
-def _reduced_energy(traj, a):
-    """Conserved front-speed-squared along a reduced trajectory."""
-    th, k = traj[..., 2], traj[..., 3]
-    return k**2 - 2.0 * a * np.sin(th) * k + a**2
 
 
 def _full_hamiltonian(traj, px, py):
@@ -195,63 +184,40 @@ def _full_hamiltonian(traj, px, py):
 def integrate_geodesics(states, t_end, step=DEFAULT_STEP, ell=1.0):
     """Integrate a batch of geodesics sharing the time grid.
 
-    All states must be of one kind (CotangentState or ReducedState).
-    For a frame length other than 1 the states are interpreted in
-    physical units (positions and curvature in length units); the
-    integration runs in normalized units and the result is dilated back.
-    Returns a list of SampledBikePath, each carrying its conserved
-    -quantity drift.
+    States may be CotangentState or ReducedState, mixed freely: a reduced
+    state runs as the cotangent point with (px, py) = (a, 0) and
+    ptheta = kappa.  For a frame length other than 1 the states are
+    interpreted in physical units (positions and curvature in length
+    units); the flow runs in normalized units and the samples are scaled
+    back.  Returns a list of SampledBikePath, each carrying its drift:
+    the worst change of the front speed squared (2H) for reduced states,
+    of H for cotangent states.
     """
     ell = _ell_value(ell)
-    if ell != 1.0:
-        scaled = []
-        for s in states:
-            if isinstance(s, ReducedState):
-                scaled.append(ReducedState(s.x / ell, s.y / ell, s.theta,
-                                           s.kappa * ell, s.a))
-            else:
-                scaled.append(CotangentState(s.x / ell, s.y / ell, s.theta,
-                                             s.px, s.py, s.ptheta))
-        unit_paths = integrate_geodesics(scaled, t_end / ell, step / ell, 1.0)
-        return [dilate_path(p, ell).with_drift(p.drift) for p in unit_paths]
-
     if not states:
         return []
-    kinds = {type(s) for s in states}
-    if len(kinds) != 1:
-        raise TypeError("states must all be CotangentState or all ReducedState")
-    reduced = kinds.pop() is ReducedState
-    n, h = _grid(t_end, step)
-    t = np.arange(n + 1) * h
+    n, h = _grid(t_end / ell, step / ell, len(states))
 
-    if reduced:
-        for s in states:
-            e0 = s.speed_squared()
-            if not (abs(e0 - 1.0) <= 1e-6):
-                raise NotUnitSpeedError(
-                    f"front speed^2 = {e0!r}, expected 1 for a unit-speed state")
-        y0 = np.array([[s.x, s.y, s.theta, s.kappa] for s in states])
-        a = np.array([s.a for s in states])
-        traj = _rk4(lambda y: _reduced_rhs_arr(y, a), y0, h, n)
-        energy = _reduced_energy(traj, a)
-    else:
-        for s in states:
-            hval = s.hamiltonian()
-            if not (abs(hval - 0.5) <= 1e-6):
-                raise NotUnitSpeedError(f"H = {hval!r}, expected 1/2")
-        y0 = np.array([[s.x, s.y, s.theta, s.ptheta] for s in states])
-        px = np.array([s.px for s in states])
-        py = np.array([s.py for s in states])
-        traj = _rk4(lambda y: _full_rhs_arr(y, px, py), y0, h, n)
-        energy = _full_hamiltonian(traj, px, py)
+    def row(s):  # (x, y, theta, ptheta), then px, py and the drift scale
+        if isinstance(s, ReducedState):
+            return s.x / ell, s.y / ell, s.theta, s.kappa * ell, s.a, 0.0, 2.0
+        return s.x / ell, s.y / ell, s.theta, s.ptheta, s.px, s.py, 1.0
 
-    drifts = np.max(np.abs(energy - energy[0]), axis=0)
-    paths = []
-    for j in range(len(states)):
-        paths.append(SampledBikePath(
-            t, traj[:, j, :2], traj[:, j, 2], traj[:, j, 3],
-            ell=1.0, drift=float(drifts[j])))
-    return paths
+    table = np.array([row(s) for s in states])
+    y0 = table[:, :4]
+    px, py, drift_scale = table[:, 4:].T.copy()
+    speed2 = 2.0 * _full_hamiltonian(y0, px, py)
+    bad = np.flatnonzero(~(np.abs(speed2 - 1.0) <= 1e-6))
+    if bad.size:
+        raise NotUnitSpeedError(f"front speed^2 = 2H = {float(speed2[bad[0]])!r}, "
+                                "expected 1 for a unit-speed state")
+    traj = _rk4(lambda y: _full_rhs_arr(y, px, py), y0, h, n)
+    energy = _full_hamiltonian(traj, px, py)
+    drifts = drift_scale * np.max(np.abs(energy - energy[0]), axis=0)
+    t = ell * (np.arange(n + 1) * h)
+    return [SampledBikePath(t, ell * traj[:, j, :2], traj[:, j, 2],
+                            traj[:, j, 3] / ell, ell, float(drifts[j]))
+            for j in range(len(states))]
 
 
 def integrate_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
@@ -259,8 +225,8 @@ def integrate_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
 
     The returned path samples every step from 0 to t_end; kappa holds the
     front-track curvature (ptheta for full states), and ``drift`` reports
-    the worst conservation error of H (full) or of the unit-speed
-    constraint (reduced).
+    the worst conservation error of H (full) or of the front speed
+    squared, 2H (reduced).
     """
     return integrate_geodesics([state], t_end, step, ell)[0]
 
@@ -343,7 +309,8 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     which is the no-skid condition for any parametrization.
     """
     ell = _ell_value(ell)
-    n, h = _grid(track.t1 - track.t0, step)
+    theta0 = np.asarray(theta0, dtype=float)
+    n, h = _grid(track.t1 - track.t0, step, theta0.size)
     t = track.t0 + np.arange(n + 1) * h
     d_grid = np.asarray(track.derivative(t), dtype=float).reshape(n + 1, 2)
     d_half = np.asarray(track.derivative(t[:-1] + 0.5 * h),
@@ -363,7 +330,6 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     for k in (1 << r for r in range(n.bit_length())):
         maps[k:] = maps[k:] @ maps[:-k]
         maps /= np.max(np.abs(maps), axis=(1, 2), keepdims=True)
-    theta0 = np.asarray(theta0, dtype=float)
     out = np.empty((n + 1,) + theta0.shape)
     columns = out.reshape(n + 1, -1)
     for j, th0 in enumerate(theta0.ravel()):

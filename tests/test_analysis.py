@@ -113,6 +113,24 @@ class TestVertices:
         kinds = [v.kind for v in rep]
         assert all(a != b for a, b in zip(kinds, kinds[1:]))
 
+    def test_raw_extrema_match_loop(self, geodesic_cache):
+        def loop(kappa):  # the per-sample reference the masks replace
+            dk = np.diff(kappa)
+            idx, kinds = [], []
+            for i in range(1, kappa.size - 1):
+                if dk[i - 1] > 0 and not dk[i] > 0:
+                    idx.append(i)
+                    kinds.append("max")
+                elif dk[i - 1] < 0 and not dk[i] < 0:
+                    idx.append(i)
+                    kinds.append("min")
+            return idx, kinds
+
+        rng = np.random.default_rng(8)
+        for kappa in (geodesic_cache(0.5).kappa, rng.normal(size=500),
+                      np.repeat(rng.normal(size=40), 5), np.ones(50)):
+            assert analysis._raw_extrema(kappa) == loop(kappa)
+
     def test_line_has_no_vertices(self):
         assert len(find_vertices(straight_path())) == 0
 

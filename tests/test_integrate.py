@@ -1,6 +1,7 @@
 """Geodesic flow, canonical reduction and horizontal lifts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,12 +134,34 @@ class TestGeodesics:
             integrate_geodesic(ReducedState(0, 0, 0, 2.0, 0.3), 1.0)
 
     def test_batch_matches_single(self):
-        states = [canonical_vertex_state(a) for a in (0.4, 1.7)]
+        # reduced and cotangent states share one flow, so they mix freely
+        s = CotangentState(0.3, -0.2, 1.1, px=0.3, py=-0.4, ptheta=0.5)
+        scale = math.sqrt(2.0 * s.hamiltonian())
+        cotangent = CotangentState(0.3, -0.2, 1.1, px=0.3 / scale,
+                                   py=-0.4 / scale, ptheta=0.5 / scale)
+        states = [canonical_vertex_state(0.4), cotangent,
+                  canonical_vertex_state(1.7)]
         batch = integrate_geodesics(states, 5.0, 1e-3)
         for s, p in zip(states, batch):
             q = integrate_geodesic(s, 5.0, 1e-3)
-            assert np.array_equal(p.front, q.front)
-            assert np.array_equal(p.kappa, q.kappa)
+            for field in ("t", "front", "theta", "kappa"):
+                assert np.array_equal(getattr(p, field), getattr(q, field))
+            assert p.drift == q.drift
+
+    def test_batch_budget_refused_before_allocation(self):
+        # 10^6 steps fit one grid's budget, but 50 trajectories of them
+        # would hold 1.6 GB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="batch budget"):
+                integrate_geodesics([canonical_vertex_state(0.5)] * 50, 1e3, 1e-3)
+            with pytest.raises(ValueError, match="batch budget"):
+                lift_frame_angles(FrontTrackSpec.line(0.0, 1e3), np.zeros(50),
+                                  1.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_convergence_is_fourth_order(self):
         s = canonical_vertex_state(0.7)

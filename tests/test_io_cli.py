@@ -1,16 +1,21 @@
 """CSV round trips, SVG rendering, CLI contract, mutation smoke test."""
 
+import contextlib
 import filecmp
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bikegeo import cli, verify
+from bikegeo import cli, closed_forms, metriclines, verify
 from bikegeo import integrate as geo
 from bikegeo.errors import DivergenceError
 from bikegeo.io import (SvgScene, path_from_csv, path_scene, path_to_csv,
@@ -109,10 +114,15 @@ class TestCli:
         ["shortcut", "--a", "-0.5"],
         ["shortcut", "--a", "0.5", "--ell=-inf"],
         ["plot", "--preset", "fig-kink", "--step", "nan"],
+        ["classify", "--a", "1e100", "--kappa0", "1"],
+        ["correspond", "--radius", "1e-300"],
     ], ids="_".join)
     def test_bad_float_is_one_json_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BIKEGEO_OUTPUT_DIR", str(tmp_path))
-        assert cli.main(argv) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 1
+        assert [str(w.message) for w in caught] == []
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1
@@ -188,6 +198,81 @@ class TestCli:
         del out
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# steps per grid: at most 10^4, or over the budget so that nothing is allocated
+step_counts = st.one_of(st.floats(1e-300, 1e4),
+                        st.floats(2.0 * geo.MAX_STEPS, 1e300))
+PLOT_LENGTHS = (2.0 * math.pi, 30.0)  # shortest and longest preset grids
+
+
+def _shortcut_length(a, ell):
+    """Arc length the shortcut command integrates over, N * T."""
+    try:
+        T, L = closed_forms.elliptic_period_advance(a, ell)
+        return metriclines.shortcut_threshold(T, L, ell) * T
+    except Exception:  # the command fails before integrating; judged below
+        return 1.0
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with every float option drawn from the finite floats,
+    and --step drawn against the arc length the command integrates."""
+    command = draw(st.sampled_from(
+        ["geodesic", "lift", "correspond", "classify", "shortcut", "plot"]))
+    argv = [command]
+
+    def opt(name, required=False):
+        if required or draw(st.booleans()):
+            value = draw(finite)
+            argv.append(f"--{name}={value!r}")  # '=' keeps "-1e-05" a value
+            return value
+        return None
+
+    if command == "classify":
+        opt("a", True)
+        opt("kappa0", True)
+        return argv
+    if command == "plot":
+        argv += ["--preset", draw(st.sampled_from(sorted(cli.PLOT_PRESETS)))]
+        count = draw(step_counts)
+        length = PLOT_LENGTHS[count <= 1e4]
+        return argv + [f"--step={length / count!r}"]
+    ell = opt("ell") or 1.0
+    if command == "shortcut":
+        a = opt("a", True)
+        length = _shortcut_length(a, ell)
+    else:
+        length = opt("t-end") or 30.0
+        opt("theta0")
+        if command == "geodesic":
+            for name in ("a", "kappa0", "x0", "y0"):
+                opt(name, name == "a")
+        elif command == "lift":
+            opt("t0")
+        else:
+            argv += ["--curve", draw(st.sampled_from(["line", "circle"]))]
+            opt("radius")
+    return argv + [f"--step={length / draw(step_counts)!r}"]
+
+
+class TestCliContract:
+    @settings(max_examples=100, deadline=None)
+    @given(cli_argv())
+    def test_finite_floats_exit_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as d, \
+                warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = cli.main(argv + ["--output", os.path.join(d, "out")])
+        assert rc in (0, 1, 2, 3)
+        if rc != 0:
+            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         rc = cli.main(["verify", "--suite", "metriclines"])
@@ -210,19 +295,19 @@ class TestVerifyCommand:
 
 
 class TestMutationSmoke:
-    """A deliberately injected sign error in the reduced flow must trip
+    """A deliberately injected sign error in the geodesic flow must trip
     at least three independent verification suites, and one in the
     frame-transport generator every lift probe (development fixture)."""
 
     def test_sign_error_fails_suites(self, monkeypatch):
-        good = geo._reduced_rhs_arr
+        good = geo._full_rhs_arr
 
-        def broken(y, a):
-            d = good(y, a)
-            d[..., 3] = -d[..., 3]  # wrong sign on the curvature equation
+        def broken(y, px, py):
+            d = good(y, px, py)
+            d[..., 3] = -d[..., 3]  # wrong sign on the ptheta (curvature) equation
             return d
 
-        monkeypatch.setattr(geo, "_reduced_rhs_arr", broken)
+        monkeypatch.setattr(geo, "_full_rhs_arr", broken)
         probes = {
             "integrate": verify.check_unit_speed_constraint,
             "analysis": verify.check_widths,
