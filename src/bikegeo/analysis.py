@@ -174,82 +174,55 @@ def _prune_jitter(entries, krange):
     curvature gap is negligible against the overall curvature range, and
     merge same-kind neighbours keeping the more extreme one."""
     tol = 1e-4 * krange
-    entries = list(entries)
-    changed = True
-    while changed and len(entries) > 1:
-        changed = False
-        for j in range(len(entries) - 1):
-            a, b = entries[j], entries[j + 1]
-            if a.kind != b.kind and abs(a.kappa - b.kappa) < tol:
-                del entries[j + 1]
-                del entries[j]
-                changed = True
-                break
+    kept = []
+    for v in entries:
+        kept.append(v)
+        # the kept prefix has no such pair; a drop or merge may expose one
+        while len(kept) > 1:
+            a, b = kept[-2], kept[-1]
             if a.kind == b.kind:
-                better = a if (a.kappa > b.kappa) == (a.kind == "max") else b
-                entries[j] = better
-                del entries[j + 1]
-                changed = True
+                kept[-2:] = [a if (a.kappa > b.kappa) == (a.kind == "max") else b]
+            elif abs(a.kappa - b.kappa) < tol:
+                del kept[-2:]
+            else:
                 break
-    return entries
+    return kept
+
+
+def _extended(x):
+    """Samples x with one quadratically extrapolated sample at each end."""
+    return np.concatenate([[3.0 * x[0] - 3.0 * x[1] + x[2]], x,
+                           [3.0 * x[-1] - 3.0 * x[-2] + x[-3]]])
 
 
 def find_vertices(path):
     """Locate curvature extrema of the front track.
 
     Extrema are detected by sign changes of the finite-difference
-    curvature slope and refined by 3-point quadratic interpolation; a
-    vertex sitting exactly on the first or last sample is also detected.
+    curvature slope and refined by 3-point quadratic interpolation.  The
+    samples are first extended by one quadratically extrapolated sample
+    at each end, so a vertex up to half a spacing beyond the first or
+    last sample is found too; its time is not clipped to the path.
     Paths whose curvature is constant to roundoff (lines, circles)
     produce an empty report.
     """
     if len(path) < 5:
         raise DegenerateInputError("need at least 5 samples to find vertices")
-    k = path.kappa
-    t = path.t
-    kmax = float(np.max(np.abs(k)))
-    krange = float(np.max(k) - np.min(k))
+    kmax = float(np.max(np.abs(path.kappa)))
+    krange = float(np.max(path.kappa) - np.min(path.kappa))
     if krange <= 1e-8 * max(1.0, kmax):
         return VertexReport(())
 
-    idx, kinds = _raw_extrema(k)
+    t, k = _extended(path.t), _extended(path.kappa)
+    theta, front = _extended(path.theta), _extended(path.front)
     entries = []
-    for i, kind in zip(idx, kinds):
+    for i, kind in zip(*_raw_extrema(k)):
         tv, s = _quad_refine(t, k, i)
         kv = float(_quad_value(k, i, s))
-        th = normalize_angle(float(_quad_value(path.theta, i, s)))
-        pos = _quad_value(path.front, i, s)
+        th = normalize_angle(float(_quad_value(theta, i, s)))
+        pos = _quad_value(front, i, s)
         entries.append(Vertex(tv, kind, kv, th, (float(pos[0]), float(pos[1]))))
-
-    # boundary vertices: curvature slope vanishing at an end sample
-    for i, side in ((1, "start"), (k.size - 2, "end")):
-        y0, y1, y2 = k[i - 1], k[i], k[i + 1]
-        denom = y0 - 2.0 * y1 + y2
-        if denom == 0.0 or abs(denom) < 1e3 * np.finfo(float).eps * max(1.0, kmax):
-            continue
-        s = 0.5 * (y0 - y2) / denom
-        # accept only if the parabola vertex falls on or just beyond the end
-        # (interior sign changes already cover |s| < 0.5)
-        if side == "start" and not (-1.3 <= s <= -0.5):
-            continue
-        if side == "end" and not (0.5 <= s <= 1.3):
-            continue
-        tv = float(t[i] + s * 0.5 * (t[i + 1] - t[i - 1]))
-        tv = float(np.clip(tv, t[0], t[-1]))
-        kind = "max" if denom < 0 else "min"
-        kv = float(_quad_value(k, i, s))
-        th = normalize_angle(float(_quad_value(path.theta, i, s)))
-        pos = _quad_value(path.front, i, s)
-        entries.append(Vertex(tv, kind, kv, th, (float(pos[0]), float(pos[1]))))
-
-    entries.sort(key=lambda v: v.t)
-    # dedupe boundary/interior double detections
-    deduped = []
-    for v in entries:
-        if deduped and abs(v.t - deduped[-1].t) < 0.75 * float(np.median(np.diff(t))):
-            continue
-        deduped.append(v)
-    return VertexReport(tuple(_prune_jitter(deduped, krange)))
+    return VertexReport(tuple(_prune_jitter(entries, krange)))
 
 
 def _soliton_like(report):

@@ -24,7 +24,7 @@ from .analysis import canonical_orient, period_and_advance  # noqa: F401
 from .closed_forms import elliptic_period_advance
 from .core import ConfigPoint, SampledBikePath, _ell_value, angle_difference
 from .errors import EndpointMismatchError, InvalidPeriodError
-from .integrate import DEFAULT_STEP, ReducedState, integrate_geodesic
+from .integrate import DEFAULT_STEP, ReducedState, _grid, integrate_geodesic
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ def is_metric_line_candidate(cls: ElasticaClass):
 
 
 def _arc_samples(length, step):
-    n = max(2, int(math.ceil(round(length / step, 9))) + 1)
-    return np.linspace(0.0, length, n)
+    n, _h = _grid(length, step)
+    return np.linspace(0.0, length, n + 1)
 
 
 def build_shortcut(start, N, L, ell=1.0, step=DEFAULT_STEP, expected_end=None,

@@ -10,6 +10,7 @@ from bikegeo.analysis import (ElasticaParams, back_width, canonical_orient,
                               classify, energy_residual, find_vertices,
                               fit_elastica_params, front_width,
                               period_and_advance, strip_width)
+from bikegeo.closed_forms import elliptic_period_advance
 from bikegeo.core import RigidMotion, SampledBikePath, act
 from bikegeo.errors import (InsufficientExtentError, InvalidPeriodError,
                             NoDirectrixError, NoPeriodError)
@@ -130,6 +131,65 @@ class TestVertices:
         for kappa in (geodesic_cache(0.5).kappa, rng.normal(size=500),
                       np.repeat(rng.normal(size=40), 5), np.ones(50)):
             assert analysis._raw_extrema(kappa) == loop(kappa)
+
+    @pytest.mark.parametrize("a", [0.5, 2.0])
+    @pytest.mark.parametrize("f", [0.1, 0.29])
+    def test_maximum_just_past_the_end(self, a, f):
+        # the fifth period ends f spacings past the last sample; its
+        # vertex time must be extrapolated, not clipped to the path
+        T_ref, _ = elliptic_period_advance(a)
+        h = 1e-3
+        p = integrate_geodesic(canonical_vertex_state(a), 5 * T_ref - f * h, h)
+        T, _ = period_and_advance(canonical_orient(p)[0])
+        assert abs(T - T_ref) <= 1e-6
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_noisy_curvature_keeps_interior_vertices(self, geodesic_cache, seed):
+        # noise at 1% of the jitter tolerance must not cost a vertex
+        p = geodesic_cache(2.0, 25.0)
+        noise = np.random.default_rng(seed).normal(0.0, 1e-6, len(p))
+        noisy = find_vertices(SampledBikePath(p.t, p.front, p.theta,
+                                              p.kappa + noise))
+        interior = [v for v in find_vertices(p) if 0.1 < v.t < 24.9]
+        assert len(interior) == 14
+        for v in interior:
+            assert any(w.kind == v.kind and abs(w.t - v.t) <= 1e-2 for w in noisy)
+
+    def test_jitter_exposed_by_a_merge_is_pruned(self):
+        def vertex(kind, kappa):
+            return analysis.Vertex(0.0, kind, kappa, 0.0, (0.0, 0.0))
+
+        entries = [vertex("min", 1.0), vertex("max", 0.0), vertex("max", 0.99999)]
+        assert analysis._prune_jitter(entries, 1.0) == []
+
+    def test_prune_jitter_matches_restart_loop(self):
+        def restart_loop(entries, tol):  # the reference the stack pass replaces
+            entries = list(entries)
+            changed = True
+            while changed and len(entries) > 1:
+                changed = False
+                for j in range(len(entries) - 1):
+                    a, b = entries[j], entries[j + 1]
+                    if a.kind != b.kind and abs(a.kappa - b.kappa) < tol:
+                        del entries[j:j + 2]
+                        changed = True
+                        break
+                    if a.kind == b.kind:
+                        keep = a if (a.kappa > b.kappa) == (a.kind == "max") else b
+                        entries[j:j + 2] = [keep]
+                        changed = True
+                        break
+            return entries
+
+        rng = np.random.default_rng(9)
+        levels = np.array([0.0, 5e-5, 1e-4, 0.5, 1.0])
+        for _ in range(2000):
+            n = int(rng.integers(0, 12))
+            entries = [analysis.Vertex(float(i), str(kind), float(kappa), 0.0, (0.0, 0.0))
+                       for i, kind, kappa in zip(range(n),
+                                                 rng.choice(["max", "min"], n),
+                                                 rng.choice(levels, n))]
+            assert analysis._prune_jitter(entries, 1.0) == restart_loop(entries, 1e-4)
 
     def test_line_has_no_vertices(self):
         assert len(find_vertices(straight_path())) == 0

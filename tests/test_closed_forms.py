@@ -136,6 +136,21 @@ class TestEllipticPeriodAdvance:
         _T, L = elliptic_period_advance(a)
         assert abs(L / (math.pi * a * (1.0 + 3.0 * a * a / 8.0)) - 1.0) <= 1e-6
 
+    @pytest.mark.parametrize("a", [2e-9, 1e-6, 1e-3, 0.1, 0.3, 3 - 2 * math.sqrt(2),
+                                   3.0, 3 + 2 * math.sqrt(2), 10.0, 1e3, 1e6,
+                                   1e9, 1e12, 1e16])
+    def test_advance_matches_mpmath(self, a):
+        # L is O(m) with m = 4a/(1+a)^2 at both ends of the momentum range
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(80):
+            b = mp.mpf(a)
+            T_ref = 4 * mp.ellipk(4 * b / (1 + b) ** 2) / (1 + b)
+            L_ref = ((1 + b * b) * T_ref
+                     - 4 * (1 + b) * mp.ellipe(4 * b / (1 + b) ** 2)) / (2 * b)
+            T, L = elliptic_period_advance(a)
+            assert abs(L / L_ref - 1) <= 1e-13
+            assert abs(T / T_ref - 1) <= 1e-13
+
     def test_near_soliton_matches_rk4(self):
         # the complementary-parameter form keeps K accurate where
         # 1 - m = 2.5e-13; RK4 measures (T, L) over one period

@@ -14,6 +14,7 @@ from bikegeo.holonomy import (MobiusMap, TransportSample, correspondent,
                               cross_ratio_angles, fit_mobius,
                               pressurized_fit, transport, transport_samples)
 from bikegeo.integrate import FrontTrackSpec
+from bikegeo.verify import _theta_rk4
 
 
 def random_track(seed, n_ctrl=8, scale=3.0):
@@ -28,6 +29,13 @@ def random_track(seed, n_ctrl=8, scale=3.0):
         if speed.min() > 0.25 * speed.mean():
             return track
     raise RuntimeError("no immersed sample track")
+
+
+def theta_rk4_samples(track, thetas):
+    """Transport samples from RK4 on the nonlinear theta equation (ell = 1,
+    step 2e-4).  The lift is a product of 2x2 maps, so a Moebius fit of its
+    own samples would hold by construction."""
+    return [TransportSample(a, b) for a, b in zip(thetas, _theta_rk4(track, thetas))]
 
 
 class TestTransport:
@@ -87,29 +95,33 @@ class TestMobiusFit:
     def test_transport_is_mobius(self):
         track = random_track(101)
         thetas = np.linspace(-math.pi, math.pi, 12, endpoint=False) + 0.05
-        samples = transport_samples(track, thetas, 1.0, 2e-4)
-        mob, resid = fit_mobius(samples)
+        mob, resid = fit_mobius(theta_rk4_samples(track, thetas))
         assert resid <= 1e-6
         # the fitted map predicts fresh fiber points too
         probe = np.array([0.123, -1.9, 2.8])
-        out = np.array([transport(track, t, 1.0, 2e-4) for t in probe])
+        out = _theta_rk4(track, probe)
         pred = mob.apply(probe)
         assert np.max(np.abs(normalize_angles(pred - out))) <= 1e-6
 
     def test_handles_fiber_point_at_pi(self):
         track = random_track(103)
         thetas = np.concatenate([[math.pi], np.linspace(-2.5, 2.5, 9)])
-        samples = transport_samples(track, thetas, 1.0, 2e-4)
-        _, resid = fit_mobius(samples)
+        _, resid = fit_mobius(theta_rk4_samples(track, thetas))
         assert resid <= 1e-6
+
+    def test_samples_match_theta_rk4(self):
+        track = random_track(109)
+        thetas = np.linspace(-3.0, 3.0, 7)
+        samples = transport_samples(track, thetas, 1.0, 2e-4)
+        gap = [s.theta_out - r.theta_out
+               for s, r in zip(samples, theta_rk4_samples(track, thetas))]
+        assert np.max(np.abs(gap)) <= 1e-9
 
     def test_cross_ratio_preserved(self):
         track = random_track(107)
         probe = np.array([-2.0, -0.7, 0.5, 1.8])
-        samples = transport_samples(track, probe, 1.0, 2e-4)
         cr_in = cross_ratio_angles(probe)
-        cr_out = cross_ratio_angles(normalize_angles(
-            [s.theta_out for s in samples]))
+        cr_out = cross_ratio_angles(normalize_angles(_theta_rk4(track, probe)))
         assert abs(cr_in - cr_out) <= 1e-6
 
     def test_unit_determinant(self):

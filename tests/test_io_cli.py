@@ -130,6 +130,19 @@ class TestCli:
         assert captured.out == ""
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("value", ["-1e-05", "-1E+3", "-.5"])
+    def test_negative_value_after_bare_flag(self, value, capsys):
+        # argparse alone reads "-1e-05" after a bare flag as an option
+        assert cli.main(["classify", "--a", "0.5", "--kappa0", value]) == 0
+        assert capsys.readouterr().out.startswith("WideNIE")
+        parser = cli._build_parser()
+        for argv, dest in ((["geodesic", "--a", "0.5", "--x0"], "x0"),
+                           (["lift", "--t0"], "t0"),
+                           (["correspond", "--theta0"], "theta0"),
+                           (["shortcut", "--a", "0.5", "--ell"], "ell"),
+                           (["plot", "--preset", "fig-kink", "--step"], "step")):
+            assert getattr(parser.parse_args(argv + [value]), dest) == float(value)
+
     def test_unknown_flag_rejected(self, capsys):
         rc = cli.main(["geodesic", "--a", "0.5", "--bogus", "1"])
         assert rc == 1
@@ -225,7 +238,10 @@ def cli_argv(draw):
     def opt(name, required=False):
         if required or draw(st.booleans()):
             value = draw(finite)
-            argv.append(f"--{name}={value!r}")  # '=' keeps "-1e-05" a value
+            if draw(st.booleans()):
+                argv.append(f"--{name}={value!r}")
+            else:
+                argv.extend([f"--{name}", repr(value)])
             return value
         return None
 

@@ -1,6 +1,7 @@
 """Shortcut construction and the metric-line dichotomy."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ class TestBuildShortcut:
         with pytest.raises(EndpointMismatchError):
             build_shortcut(ConfigPoint(0, 0, math.pi / 2), 2, 1.0, 1.0,
                            expected_end=ConfigPoint(5.0, 0, math.pi / 2))
+
+    def test_step_budget_refused_before_allocation(self):
+        # the straight ride asks for 1.1 * 10^6 steps, over the step budget
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                build_shortcut(ConfigPoint(0, 0, math.pi / 2), 1100, 1.0, 1.0, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestShortcutAnalysis:
