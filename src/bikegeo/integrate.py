@@ -7,9 +7,10 @@ px and py are conserved; rotating them onto (a, 0) with a >= 0 gives
 the reduced system in (x, y, theta, kappa), which is the same flow with
 ptheta = kappa, the signed curvature of the front track.  A reduced
 state is therefore integrated as the cotangent point (px, py) = (a, 0),
-and every batch runs through one flow on rows (x, y, theta, ptheta).
+and every geodesic runs through one flow on (x, y, theta, ptheta).
 
-Geodesics integrate with classical fixed-step RK4.  Conserved
+Geodesics integrate one state at a time with classical fixed-step RK4
+on Python floats; a batch is a list of single integrations.  Conserved
 quantities are reported as drift, never projected back.
 
 The horizontal lift ell * theta' = cos(theta) * y' - sin(theta) * x' is
@@ -20,6 +21,7 @@ lift to every sample is the running product of these matrices.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,32 +90,24 @@ def soliton_vertex_state():
     return ReducedState(0.0, 2.0, 0.5 * math.pi, 2.0, 1.0)
 
 
-def _full_rhs_arr(y, px, py):
-    """Vectorized right-hand side of the full system on (..., 4) arrays
-    ordered (x, y, theta, ptheta); px, py enter as constants."""
-    th = y[..., 2]
-    pth = y[..., 3]
-    s, c = np.sin(th), np.cos(th)
-    d = np.empty_like(y)
-    d[..., 0] = px - s * pth
-    d[..., 1] = py + c * pth
-    d[..., 2] = pth + c * py - s * px
-    d[..., 3] = pth * (c * px + s * py)
-    return d
+def _flow(theta, ptheta, px, py):
+    """Time derivative (x', y', theta', ptheta') of the full system at one
+    state, as Python floats; px and py enter as constants."""
+    s, c = math.sin(theta), math.cos(theta)
+    return (px - s * ptheta, py + c * ptheta, ptheta + c * py - s * px,
+            ptheta * (c * px + s * py))
 
 
 def hamiltonian_rhs(state):
     """Time derivative (x', y', theta', px', py', ptheta') of the full
     system at a cotangent state.  px and py are conserved."""
-    y = np.array([state.x, state.y, state.theta, state.ptheta], dtype=float)
-    d = _full_rhs_arr(y, state.px, state.py)
-    return np.array([d[0], d[1], d[2], 0.0, 0.0, d[3]])
+    dx, dy, dtheta, dptheta = _flow(state.theta, state.ptheta, state.px, state.py)
+    return np.array([dx, dy, dtheta, 0.0, 0.0, dptheta])
 
 
 def reduced_rhs(state):
     """Time derivative (x', y', theta', kappa') of the reduced system."""
-    y = np.array([state.x, state.y, state.theta, state.kappa], dtype=float)
-    return _full_rhs_arr(y, state.a, 0.0)
+    return np.array(_flow(state.theta, state.kappa, state.a, 0.0))
 
 
 def canonicalize(state, tol=1e-9):
@@ -136,26 +130,36 @@ def canonicalize(state, tol=1e-9):
     return reduced, RigidMotion(phi)
 
 
-def _rk4(rhs, y0, h, n_steps):
-    """Fixed-step classical RK4 over (..., d) state arrays.
+def _geodesic_rk4(x, y, theta, ptheta, px, py, h, n_steps):
+    """Fixed-step classical RK4 of the flow from one state.
 
-    Returns the trajectory with shape (n_steps + 1, ...) and raises
-    DivergenceError with the offending time if a state goes non-finite.
+    Stage states are formed for theta and ptheta only: x and y never
+    feed back.  Returns the trajectory as an (n_steps + 1, 4) array of
+    rows (x, y, theta, ptheta) and raises DivergenceError with the
+    offending time if a state goes non-finite.
     """
-    y = np.array(y0, dtype=float)
-    traj = np.empty((n_steps + 1,) + y.shape)
-    traj[0] = y
-    for i in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(
-                f"non-finite state at t = {(i + 1) * h!r}", t=(i + 1) * h)
-        traj[i + 1] = y
-    return traj
+    hh, h6 = 0.5 * h, h / 6.0
+    traj = array("d", (x, y, theta, ptheta))
+    for _ in range(n_steps):
+        try:
+            x1, y1, t1, p1 = _flow(theta, ptheta, px, py)
+            x2, y2, t2, p2 = _flow(theta + hh * t1, ptheta + hh * p1, px, py)
+            x3, y3, t3, p3 = _flow(theta + hh * t2, ptheta + hh * p2, px, py)
+            x4, y4, t4, p4 = _flow(theta + h * t3, ptheta + h * p3, px, py)
+        except ValueError:  # math.sin of an infinite stage angle
+            break
+        x = x + h6 * (x1 + 2.0 * x2 + 2.0 * x3 + x4)
+        y = y + h6 * (y1 + 2.0 * y2 + 2.0 * y3 + y4)
+        theta = theta + h6 * (t1 + 2.0 * t2 + 2.0 * t3 + t4)
+        ptheta = ptheta + h6 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(theta)
+                and math.isfinite(ptheta)):
+            break
+        traj.extend((x, y, theta, ptheta))
+    done = len(traj) // 4
+    if done <= n_steps:
+        raise DivergenceError(f"non-finite state at t = {done * h!r}", t=done * h)
+    return np.frombuffer(traj).reshape(done, 4)
 
 
 def _grid(t_end, step, width=1):
@@ -182,53 +186,45 @@ def _full_hamiltonian(traj, px, py):
 
 
 def integrate_geodesics(states, t_end, step=DEFAULT_STEP, ell=1.0):
-    """Integrate a batch of geodesics sharing the time grid.
-
-    States may be CotangentState or ReducedState, mixed freely: a reduced
-    state runs as the cotangent point with (px, py) = (a, 0) and
-    ptheta = kappa.  For a frame length other than 1 the states are
-    interpreted in physical units (positions and curvature in length
-    units); the flow runs in normalized units and the samples are scaled
-    back.  Returns a list of SampledBikePath, each carrying its drift:
-    the worst change of the front speed squared (2H) for reduced states,
-    of H for cotangent states.
+    """Integrate a batch of geodesics on one time grid, one state at a
+    time; see :func:`integrate_geodesic`.  The batch budget is checked
+    before anything is integrated.  Returns a list of SampledBikePath.
     """
     ell = _ell_value(ell)
-    if not states:
-        return []
-    n, h = _grid(t_end / ell, step / ell, len(states))
-
-    def row(s):  # (x, y, theta, ptheta), then px, py and the drift scale
-        if isinstance(s, ReducedState):
-            return s.x / ell, s.y / ell, s.theta, s.kappa * ell, s.a, 0.0, 2.0
-        return s.x / ell, s.y / ell, s.theta, s.ptheta, s.px, s.py, 1.0
-
-    table = np.array([row(s) for s in states])
-    y0 = table[:, :4]
-    px, py, drift_scale = table[:, 4:].T.copy()
-    speed2 = 2.0 * _full_hamiltonian(y0, px, py)
-    bad = np.flatnonzero(~(np.abs(speed2 - 1.0) <= 1e-6))
-    if bad.size:
-        raise NotUnitSpeedError(f"front speed^2 = 2H = {float(speed2[bad[0]])!r}, "
-                                "expected 1 for a unit-speed state")
-    traj = _rk4(lambda y: _full_rhs_arr(y, px, py), y0, h, n)
-    energy = _full_hamiltonian(traj, px, py)
-    drifts = drift_scale * np.max(np.abs(energy - energy[0]), axis=0)
-    t = ell * (np.arange(n + 1) * h)
-    return [SampledBikePath(t, ell * traj[:, j, :2], traj[:, j, 2],
-                            traj[:, j, 3] / ell, ell, float(drifts[j]))
-            for j in range(len(states))]
+    if states:
+        _grid(t_end / ell, step / ell, len(states))
+    return [integrate_geodesic(s, t_end, step, ell) for s in states]
 
 
 def integrate_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
-    """Integrate one geodesic; see :func:`integrate_geodesics`.
+    """Integrate one unit-speed geodesic, sampled every step from 0 to t_end.
 
-    The returned path samples every step from 0 to t_end; kappa holds the
-    front-track curvature (ptheta for full states), and ``drift`` reports
-    the worst conservation error of H (full) or of the front speed
-    squared, 2H (reduced).
+    A CotangentState or a ReducedState, which runs as the cotangent point
+    (px, py) = (a, 0) with ptheta = kappa.  For a frame length other than
+    1 the state is read in physical units (positions and curvature in
+    length units); the flow runs in normalized units and the samples are
+    scaled back.  kappa holds the front-track curvature (ptheta);
+    ``drift`` is the worst change of the front speed squared (2H) for a
+    reduced state, of H for a cotangent state.
     """
-    return integrate_geodesics([state], t_end, step, ell)[0]
+    ell = _ell_value(ell)
+    n, h = _grid(t_end / ell, step / ell)
+    if isinstance(state, ReducedState):
+        ptheta, px, py, drift_scale = state.kappa * ell, state.a, 0.0, 2.0
+    else:
+        ptheta, px, py, drift_scale = state.ptheta, state.px, state.py, 1.0
+    x, y, theta, ptheta, px, py = map(
+        float, (state.x / ell, state.y / ell, state.theta, ptheta, px, py))
+    speed2 = 2.0 * _full_hamiltonian(np.array([x, y, theta, ptheta]), px, py)
+    if not (abs(speed2 - 1.0) <= 1e-6):
+        raise NotUnitSpeedError(f"front speed^2 = 2H = {float(speed2)!r}, "
+                                "expected 1 for a unit-speed state")
+    traj = _geodesic_rk4(x, y, theta, ptheta, px, py, float(h), n)
+    energy = _full_hamiltonian(traj, px, py)
+    drift = drift_scale * float(np.max(np.abs(energy - energy[0])))
+    t = ell * (np.arange(n + 1) * h)
+    return SampledBikePath(t, ell * traj[:, :2], traj[:, 2], traj[:, 3] / ell,
+                           ell, drift)
 
 
 @dataclass(frozen=True)

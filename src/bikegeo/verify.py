@@ -21,7 +21,7 @@ from .core import (ConfigPoint, RigidMotion, act, angle_difference,
                    horizontality_residuals, normalize_angles, path_length,
                    to_st_model, from_st_model)
 from . import numdiff
-from .errors import BikeGeoError
+from .errors import BikeGeoError, DivergenceError
 
 WIDE_GRID = (0.3, 0.5, 0.8)
 NARROW_GRID = (1.5, 2.0, 4.0)
@@ -478,6 +478,29 @@ def check_period_advance_exact():
 # ---------------------------------------------------------------------------
 # holonomy
 
+def _rk4(rhs, y0, h, n_steps):
+    """Fixed-step classical RK4 over (..., d) state arrays, the generic
+    stepper behind the theta oracle.
+
+    Returns the trajectory with shape (n_steps + 1, ...) and raises
+    DivergenceError with the offending time if a state goes non-finite.
+    """
+    y = np.array(y0, dtype=float)
+    traj = np.empty((n_steps + 1,) + y.shape)
+    traj[0] = y
+    for i in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError(
+                f"non-finite state at t = {(i + 1) * h!r}", t=(i + 1) * h)
+        traj[i + 1] = y
+    return traj
+
+
 def _theta_rk4(track, thetas, step=2e-4):
     """Final frame angles from RK4 on the nonlinear theta equation (ell = 1).
 
@@ -496,7 +519,7 @@ def _theta_rk4(track, thetas, step=2e-4):
 
     thetas = np.asarray(thetas, dtype=float)
     y0 = np.stack([np.full_like(thetas, track.t0), thetas], axis=1)
-    return geo._rk4(rhs, y0, h, n)[-1, :, 1]
+    return _rk4(rhs, y0, h, n)[-1, :, 1]
 
 
 def _lift_gap(track, thetas, oracle, step=2e-4):
@@ -806,13 +829,17 @@ SUITES = {
 
 
 def run_suites(names=None):
-    """Run the named suites (all by default); returns CheckResult list."""
-    if names is None or names == ["all"]:
+    """Run the named suites, each once; all of them by default or when
+    'all' is named.  Unknown names raise ValueError before any check
+    runs.  Returns the CheckResult list."""
+    if names is None or "all" in names:
         names = list(SUITES)
+    unknown = [n for n in names if n not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {', '.join(map(repr, unknown))}; "
+                         f"choose from {', '.join(['all', *SUITES])}")
     results = []
-    for suite in names:
-        if suite not in SUITES:
-            raise KeyError(f"unknown suite '{suite}'; choose from {sorted(SUITES)}")
+    for suite in dict.fromkeys(names):
         for name, fn in SUITES[suite]:
             start = time.perf_counter()
             try:

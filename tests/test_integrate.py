@@ -1,22 +1,28 @@
 """Geodesic flow, canonical reduction and horizontal lifts."""
 
+import contextlib
+import io
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from bikegeo import cli
 from bikegeo.closed_forms import line_lift_theta, soliton_point, tractrix_point
 from bikegeo.core import SampledBikePath, act, dilate_path
 from bikegeo.errors import (DivergenceError, ImmersionError,
                             NotUnitSpeedError)
 from bikegeo.integrate import (CotangentState, FrontTrackSpec, ReducedState,
-                               _rk4, canonical_vertex_state, canonicalize,
+                               _full_hamiltonian, _grid,
+                               canonical_vertex_state, canonicalize,
                                hamiltonian_rhs, horizontal_lift,
                                integrate_geodesic, integrate_geodesics,
                                lift_frame_angles, reduced_rhs,
                                soliton_vertex_state)
 from bikegeo import numdiff
+from bikegeo.verify import _rk4
 
 
 class TestRightHandSides:
@@ -187,6 +193,67 @@ class TestGeodesics:
             with pytest.raises(DivergenceError) as err:
                 _rk4(lambda y: y * y, np.array([1.0]), 0.01, 1000)
         assert err.value.t is not None and 0.9 < err.value.t < 1.05
+
+    def test_huge_momentum_diverges_at_its_step(self, tmp_path):
+        # at curvature 1e9 the step 1e-3 cannot follow the flow: a stage
+        # angle goes infinite, where math.sin raises instead of giving nan
+        with pytest.raises(DivergenceError) as err:
+            integrate_geodesic(canonical_vertex_state(1e9), 1.0)
+        assert err.value.t == 0.015
+        out, errs = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
+            rc = cli.main(["geodesic", "--a", "1e9", "--t-end", "1",
+                           "--output", str(tmp_path / "g.csv")])
+        assert rc == 3 and out.getvalue() == ""
+        lines = errs.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "divergence", "message": "non-finite state at t = 0.015"}
+
+
+def _array_flow(y, px, py):
+    """The flow on (..., 4) rows (x, y, theta, ptheta), vectorized as the
+    batch integrator had it: the reference the per-state stepper must
+    reproduce bit for bit."""
+    th, pth = y[..., 2], y[..., 3]
+    s, c = np.sin(th), np.cos(th)
+    return np.stack([px - s * pth, py + c * pth, pth + c * py - s * px,
+                     pth * (c * px + s * py)], axis=-1)
+
+
+def _array_geodesics(states, t_end, step, ell):
+    """Batch RK4 of _array_flow through the array stepper, scaled and
+    reported as integrate_geodesics does."""
+    n, h = _grid(t_end / ell, step / ell)
+    rows = np.array([
+        (s.x / ell, s.y / ell, s.theta, s.kappa * ell, s.a, 0.0, 2.0)
+        if isinstance(s, ReducedState) else
+        (s.x / ell, s.y / ell, s.theta, s.ptheta, s.px, s.py, 1.0)
+        for s in states])
+    px, py, scale = rows[:, 4:].T.copy()
+    traj = _rk4(lambda y: _array_flow(y, px, py), rows[:, :4], h, n)
+    energy = _full_hamiltonian(traj, px, py)
+    drift = scale * np.max(np.abs(energy - energy[0]), axis=0)
+    t = ell * (np.arange(n + 1) * h)
+    return [(t, ell * traj[:, j, :2], traj[:, j, 2], traj[:, j, 3] / ell,
+             float(drift[j])) for j in range(len(states))]
+
+
+@pytest.mark.parametrize("ell", [1.0, 1.7])
+def test_stepper_matches_array_reference_bitwise(ell):
+    s = CotangentState(0.3, -0.2, 1.1, px=0.3, py=-0.4, ptheta=0.5)
+    scale = math.sqrt(2.0 * s.hamiltonian())
+    states = [
+        ReducedState(0.1, 0.2, 0.5 * math.pi, 1.4 / ell, 0.4),
+        CotangentState(0.3, -0.2, 1.1, 0.3 / scale, -0.4 / scale, 0.5 / scale),
+        ReducedState(0.0, 2.0 * ell, 0.5 * math.pi, 2.0 / ell, 1.0),
+        ReducedState(0.0, 0.0, 0.0, 1.0 / ell, 0.0),
+    ]
+    paths = integrate_geodesics(states, 3.0 * ell, 1e-3 * ell, ell)
+    for p, ref in zip(paths, _array_geodesics(states, 3.0 * ell, 1e-3 * ell, ell)):
+        for got, want in zip((p.t, p.front, p.theta, p.kappa), ref[:4]):
+            assert np.array_equal(got, want)
+        assert p.drift == ref[4]
 
 
 class TestHorizontalLift:

@@ -299,6 +299,38 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         assert cli.main(["verify", "--suite", "nope"]) == 1
 
+    @pytest.fixture
+    def tiny_suites(self, monkeypatch):
+        ran = []
+
+        def check(name):
+            return name, lambda: ran.append(name) or (True, "ran")
+
+        monkeypatch.setattr(verify, "SUITES", {"one": [check("a"), check("b")],
+                                               "two": [check("c")]})
+        return ran
+
+    def test_all_anywhere_runs_each_suite_once(self, tiny_suites):
+        for names in (None, ["all"], ["two", "all"], ["one", "all", "one"]):
+            tiny_suites.clear()
+            results = verify.run_suites(names)
+            assert tiny_suites == ["a", "b", "c"]
+            assert [r.name for r in results] == ["a", "b", "c"]
+        tiny_suites.clear()
+        verify.run_suites(["two", "one", "two"])
+        assert tiny_suites == ["c", "a", "b"]
+
+    def test_unknown_suite_refused_before_any_check(self, tiny_suites, capsys):
+        assert cli.main(["verify", "--suite", "one", "--suite", "nope"]) == 1
+        assert tiny_suites == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "usage",
+            "message": "unknown suite 'nope'; choose from all, one, two"}
+        assert cli.main(["verify", "--suite", "one", "--suite", "all"]) == 0
+        assert tiny_suites == ["a", "b", "c"]
+
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         monkeypatch.setitem(
             verify.SUITES, "doomed",
@@ -316,14 +348,13 @@ class TestMutationSmoke:
     frame-transport generator every lift probe (development fixture)."""
 
     def test_sign_error_fails_suites(self, monkeypatch):
-        good = geo._full_rhs_arr
+        good = geo._flow
 
-        def broken(y, px, py):
-            d = good(y, px, py)
-            d[..., 3] = -d[..., 3]  # wrong sign on the ptheta (curvature) equation
-            return d
+        def broken(theta, ptheta, px, py):
+            dx, dy, dtheta, dptheta = good(theta, ptheta, px, py)
+            return dx, dy, dtheta, -dptheta  # wrong sign on the ptheta (curvature) equation
 
-        monkeypatch.setattr(geo, "_full_rhs_arr", broken)
+        monkeypatch.setattr(geo, "_flow", broken)
         probes = {
             "integrate": verify.check_unit_speed_constraint,
             "analysis": verify.check_widths,
