@@ -117,6 +117,8 @@ def fit_mobius(samples):
         raise DegenerateInputError("need at least 6 transport samples")
     th_in = np.array([s.theta_in for s in samples], dtype=float)
     th_out = np.array([s.theta_out for s in samples], dtype=float)
+    if not (np.all(np.isfinite(th_in)) and np.all(np.isfinite(th_out))):
+        raise ValueError("transport sample angles must be finite")
     wrapped = np.sort(normalize_angles(th_in))
     if np.unique(np.round(wrapped, 12)).size < 6:
         raise DegenerateInputError("need at least 6 distinct fiber angles")

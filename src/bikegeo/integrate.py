@@ -17,7 +17,11 @@ The horizontal lift ell * theta' = cos(theta) * y' - sin(theta) * x' is
 a Riccati equation, linear on v = (sin(theta/2), cos(theta/2)):
 v' = A v with A = [[-x', y'], [y', x']] / (2 ell).  One RK4 step of it
 is a 2x2 matrix, acting on the fiber circle as a Moebius map, and the
-lift to every sample is the running product of these matrices.
+lift to every sample is the running product of these matrices.  The
+matrices are held as four entry arrays, multiplied entrywise, and the
+product is built by log-depth doubling.  Each fiber angle then reads
+its half angle psi = atan2 of the transported v, which is continuous,
+so it is unwrapped by exact multiples of 2 pi.
 """
 
 import math
@@ -294,6 +298,24 @@ def _lift_generator(d, ell):
     return a.reshape(d.shape[:-1] + (2, 2)) / (2.0 * ell)
 
 
+def _entries(m):
+    """Entries (m00, m01, m10, m11) of a (..., 2, 2) stack of matrices."""
+    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+
+
+def _mat_mul(a, b):
+    """Elementwise 2x2 product of matrix stacks held as entries."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _eye_plus(c, m):
+    """Entries of I + c m."""
+    return 1.0 + c * m[0], c * m[1], c * m[2], 1.0 + c * m[3]
+
+
 def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     """Integrate the no-skid constraint along a prescribed front track.
 
@@ -302,10 +324,13 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     shape (n_samples,) + shape(theta0); theta is continuous, not wrapped.
 
     The lift solves ell * theta' = cos(theta) * y' - sin(theta) * x',
-    which is the no-skid condition for any parametrization.
+    which is the no-skid condition for any parametrization.  A
+    non-finite theta0 raises ValueError before the track is evaluated.
     """
     ell = _ell_value(ell)
     theta0 = np.asarray(theta0, dtype=float)
+    if not np.all(np.isfinite(theta0)):
+        raise ValueError("theta0 must be finite")
     n, h = _grid(track.t1 - track.t0, step, theta0.size)
     t = track.t0 + np.arange(n + 1) * h
     d_grid = np.asarray(track.derivative(t), dtype=float).reshape(n + 1, 2)
@@ -314,29 +339,37 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     speeds = np.hypot(d_grid[:, 0], d_grid[:, 1])
     if np.min(speeds) < 1e-9 * max(1.0, float(np.max(speeds))):
         raise ImmersionError("front track has (near-)vanishing velocity")
-    eye = np.eye(2)
     a = _lift_generator(d_grid, ell)
-    ah = _lift_generator(d_half, ell)
-    k2 = ah @ (eye + 0.5 * h * a[:-1])
-    k3 = ah @ (eye + 0.5 * h * k2)
-    k4 = a[1:] @ (eye + h * k3)
-    maps = np.concatenate(
-        [eye[None], eye + (h / 6.0) * (a[:-1] + 2.0 * k2 + 2.0 * k3 + k4)])
-    # maps[i] = M[i-1]...M[0] by doubling; positive rescaling stops overflow
+    a0, a1 = _entries(a[:-1]), _entries(a[1:])
+    ah = _entries(_lift_generator(d_half, ell))
+    k2 = _mat_mul(ah, _eye_plus(0.5 * h, a0))
+    k3 = _mat_mul(ah, _eye_plus(0.5 * h, k2))
+    k4 = _mat_mul(a1, _eye_plus(h, k3))
+    # maps[:, i] = entries of M[i-1]...M[0] (M[i]: RK4 step map) by
+    # doubling; rescaling each new product to a largest |entry| of 1
+    # stops overflow and moves no angle
+    maps = np.empty((4, n + 1))
+    maps[:, 0] = (1.0, 0.0, 0.0, 1.0)
+    maps[:, 1:] = _eye_plus(h / 6.0, [p + 2.0 * q + 2.0 * r + s
+                                      for p, q, r, s in zip(a0, k2, k3, k4)])
     for k in (1 << r for r in range(n.bit_length())):
-        maps[k:] = maps[k:] @ maps[:-k]
-        maps /= np.max(np.abs(maps), axis=(1, 2), keepdims=True)
-    out = np.empty((n + 1,) + theta0.shape)
-    columns = out.reshape(n + 1, -1)
-    for j, th0 in enumerate(theta0.ravel()):
-        v = np.array([np.sin(0.5 * th0), np.cos(0.5 * th0)])
-        phi = 2.0 * np.arctan2(maps[:, 0] @ v, maps[:, 1] @ v)
-        columns[:, j] = th0 + (np.unwrap(phi) - phi[0])
-    bad = np.flatnonzero(~np.isfinite(columns).all(axis=1))
+        prod = np.array(_mat_mul(maps[:, k:], maps[:, :-k]))
+        np.divide(prod, np.abs(prod).max(axis=0), out=maps[:, k:])
+    m00, m01, m10, m11 = maps
+    # one row per fiber angle, returned transposed; the half angle psi
+    # of M v is continuous, so it is unwrapped by whole turns
+    rows = np.empty((theta0.size, n + 1))
+    for row, th0 in zip(rows, theta0.ravel().tolist()):
+        s, c = math.sin(0.5 * th0), math.cos(0.5 * th0)
+        psi = np.arctan2(m00 * s + m01 * c, m10 * s + m11 * c)
+        turns = np.cumsum(np.rint(np.diff(psi) / (2.0 * math.pi)))
+        psi[1:] -= 2.0 * math.pi * turns
+        row[:] = th0 + 2.0 * (psi - psi[0])
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=0))
     if bad.size:
         raise DivergenceError(f"non-finite frame angle at t = {t[bad[0]]}",
                               t=float(t[bad[0]]))
-    return t, out
+    return t, rows.T.reshape((n + 1,) + theta0.shape)
 
 
 def horizontal_lift(track, theta0, ell=1.0, step=DEFAULT_STEP):

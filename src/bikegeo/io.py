@@ -11,7 +11,6 @@ transform: front tracks in blue, back tracks in red, the directrix as a
 dashed green line, frame arrows in black.
 """
 
-import io as _io
 import math
 
 import numpy as np
@@ -33,14 +32,10 @@ SHORTCUT_COLOR = "#ff7f0e"
 
 def path_to_csv(path):
     """Serialize a path to CSV text (shortest round-trip floats)."""
-    back = path.back
-    out = _io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for i in range(len(path)):
-        row = (path.t[i], path.front[i, 0], path.front[i, 1],
-               back[i, 0], back[i, 1], path.theta[i], path.kappa[i])
-        out.write(",".join(repr(float(v)) for v in row) + "\n")
-    return out.getvalue()
+    rows = np.column_stack((path.t, path.front, path.back, path.theta,
+                            path.kappa)).tolist()
+    lines = [CSV_HEADER] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def path_from_csv(text):

@@ -5,15 +5,18 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from bikegeo import cli
 from bikegeo.closed_forms import line_lift_theta, soliton_point, tractrix_point
 from bikegeo.core import SampledBikePath, act, dilate_path
 from bikegeo.errors import (DivergenceError, ImmersionError,
                             NotUnitSpeedError)
+from bikegeo.holonomy import TransportSample, correspondent, fit_mobius
 from bikegeo.integrate import (CotangentState, FrontTrackSpec, ReducedState,
                                _full_hamiltonian, _grid,
                                canonical_vertex_state, canonicalize,
@@ -333,6 +336,17 @@ class TestLiftFrameAngles:
         t, theta = lift_frame_angles(track, 0.3, 1.0, 1e-2)
         assert np.max(np.abs(theta - circle_lift_theta(t, 0.3, 2.0, 1.0))) <= 1e-8
 
+    def test_single_angle_is_its_fiber_column(self):
+        rng = np.random.default_rng(11)
+        pts = np.cumsum(rng.normal(0.0, 1.0, size=(8, 2)), axis=0)
+        track = FrontTrackSpec.from_spline(
+            CubicSpline(np.linspace(0.0, 1.0, 8), pts, axis=0), 0.0, 1.0)
+        thetas = np.linspace(-math.pi, math.pi, 64, endpoint=False) + 0.01
+        _t, fiber = lift_frame_angles(track, thetas, 1.0, 1.25e-4)
+        for j in (0, 17, 63):
+            _t, single = lift_frame_angles(track, thetas[j], 1.0, 1.25e-4)
+            assert np.array_equal(single, fiber[:, j])
+
     def test_nan_derivative_reports_time(self):
         def derivative(t):
             t = np.asarray(t, dtype=float)
@@ -355,6 +369,27 @@ class TestLiftFrameAngles:
 def test_non_finite_input_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+def _unevaluated_track():
+    def derivative(t):
+        raise AssertionError("track evaluated before theta0 was checked")
+    return FrontTrackSpec(derivative, derivative, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lift_frame_angles(_unevaluated_track(), math.nan), "theta0"),
+    (lambda: lift_frame_angles(_unevaluated_track(), [0.1, math.inf]), "theta0"),
+    (lambda: correspondent(_unevaluated_track(), -math.inf), "theta0"),
+    (lambda: fit_mobius([TransportSample(a, math.nan if a == 0.0 else a)
+                         for a in np.linspace(-3.0, 3.0, 9).tolist()]),
+     "finite"),
+], ids=["lift_nan", "fiber_inf", "correspondent_inf", "mobius_nan_sample"])
+def test_non_finite_angle_rejected(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_energy_conservation_short():

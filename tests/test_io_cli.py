@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 from bikegeo import cli, closed_forms, metriclines, verify
 from bikegeo import integrate as geo
 from bikegeo.errors import DivergenceError
-from bikegeo.io import (SvgScene, path_from_csv, path_scene, path_to_csv,
-                        read_path_csv, write_path_csv)
+from bikegeo.core import SampledBikePath
+from bikegeo.io import (CSV_HEADER, SvgScene, path_from_csv, path_scene,
+                        path_to_csv, read_path_csv, write_path_csv)
 from bikegeo.integrate import canonical_vertex_state, integrate_geodesic
 
 
@@ -47,6 +48,28 @@ class TestCsv:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
             path_from_csv("t,fx,fy,bx,by,theta,kappa\n1,2,3\n")
+
+    def test_bytes_match_per_cell_formatter(self, short_path):
+        # reference: the per-cell formatter the row-list writer replaced
+        def per_cell(path):
+            back = path.back
+            lines = [CSV_HEADER]
+            for i in range(len(path)):
+                row = (path.t[i], path.front[i, 0], path.front[i, 1],
+                       back[i, 0], back[i, 1], path.theta[i], path.kappa[i])
+                lines.append(",".join(repr(float(v)) for v in row))
+            return "\n".join(lines) + "\n"
+
+        odd = SampledBikePath(
+            [-1e16, -1.0, 0.0, 5e-324, 1e-5, 3.0, 1e16],
+            [[-0.0, 1e-5], [1e16, -0.0], [2.0, 5e-324], [-3.0, 0.1],
+             [1e-5, 7.0], [0.0, -0.0], [123456789.0, 1e-300]],
+            [-0.0, 5e-324, 1e-5, 2.0, -1e16, math.pi, 0.0],
+            [0.0, -0.0, 1e16, -5e-324, 1e-5, 4.0, -2.5], 1.0)
+        for path in (odd, short_path):
+            assert path_to_csv(path).encode() == per_cell(path).encode()
+        cells = set(path_to_csv(odd).replace("\n", ",").split(","))
+        assert {"-0.0", "1e-05", "1e+16", "5e-324", "3.0"} <= cells
 
     def test_file_io(self, short_path, tmp_path):
         f = tmp_path / "p.csv"
