@@ -170,7 +170,7 @@ def _geodesic_state(args):
 
 def _cmd_geodesic(args):
     state = _geodesic_state(args)
-    path = geo.integrate_geodesic(state, args.t_end, args.step, args.ell)
+    path = geo.rk4_geodesic(state, args.t_end, args.step, args.ell)
     return _write_path(path, args, "geodesic")
 
 

@@ -1,4 +1,4 @@
-"""Closed-form tractrix, soliton, and geodesic period and advance.
+"""Closed-form tractrix, soliton, geodesics, and their period and advance.
 
 When the front wheel rides along the x-axis with the back wheel off the
 line, the back wheel traces a tractrix of width ell; flipping the frame
@@ -10,16 +10,20 @@ preserves front-track speed, t is simultaneously the arc length of the
 soliton, and the quadrature reparametrization below is the identity up
 to quadrature error.
 
-The curvature of a periodic geodesic front track is an elliptic
-function of arc length, so its curvature period T and directrix
-advance L are complete elliptic integrals of the momentum a.
+The curvature of a geodesic front track is an elliptic function of
+arc length, kappa(s) = (1+a) dn((1+a) s / 2 | m) with m = 4a/(1+a)^2,
+so the whole geodesic has a closed form in sn, cn, dn and an
+incomplete elliptic integral (:func:`geodesic`), and its curvature
+period T and directrix advance L are complete elliptic integrals of
+the momentum a.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.special import ellipkm1, elliprd, elliprf
+from scipy.special import (ellipe, ellipj, ellipk, ellipkm1, elliprd,
+                           elliprf)
 
 from .analysis import CLASS_TOL
 from .core import _ell_value
@@ -135,3 +139,108 @@ def elliptic_period_advance(a, ell=1.0):
         L = 4.0 * (2.0 * float(elliprd(0.0, p, 1.0)) / 3.0
                    - float(elliprf(0.0, p, 1.0))) / (1.0 + a)
     return ell * T, ell * L
+
+
+def _periodic_parts(a, u, K, p, m):
+    """(dn, sn^2, sn cn, D, S) at phases u in [-K, K], where
+    D = int_0^u sn^2 and S = 1 + a - 2 sn^2.
+
+    For m <= 1/2 these come from ellipj, with D in the Carlson form
+    sn^3 R_D(cn^2, dn^2, 1) / 3.  Above m = 1/2 ellipj would lose the
+    complement p = 1 - m to rounding (all of it as a -> 1), so dn is
+    summed as the soliton lattice
+    dn(u) = c sum_n sech(c (u - 2nK)) with c = pi / (2 K(p)),
+    and its derivative and integral follow term by term:
+    sn cn = -dn' / m and
+    int_0^u dn^2 = (1 - E(p)/K(p)) u + c sum_n tanh(c (u - 2nK)).
+    The pulses beyond n_max are below 2 exp(-pi (2 n_max - 1) K / (2 K(p)))
+    < 1e-17.  S is then taken as 2 (dn^2 - (1-a)/(1+a)) / m, which keeps
+    its full relative precision where it is as small as sqrt(p).
+    """
+    if m <= 0.5:
+        sn, cn, dn, _am = ellipj(u, m)
+        sn2 = sn * sn
+        d = sn * sn2 * elliprd(cn * cn, dn * dn, 1.0) / 3.0
+        return dn, sn2, sn * cn, d, 1.0 + a - 2.0 * sn2
+    kp = float(ellipk(p))
+    c = 0.5 * math.pi / kp
+    n_max = math.ceil(13.0 * kp / K) + 1
+    dn, ddn, tanh_sum = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    for n in range(-n_max, n_max + 1):
+        z = c * (u - 2.0 * n * K)
+        sech, tanh = 1.0 / np.cosh(z), np.tanh(z)
+        dn += sech
+        ddn += sech * tanh
+        tanh_sum += tanh
+    dn *= c
+    ddn *= -c * c
+    dn2 = dn * dn
+    d = (float(ellipe(p)) / kp * u - c * tanh_sum) / m
+    r = (1.0 - a) / (1.0 + a)
+    return dn, (1.0 - dn2) / m, -ddn / m, d, 2.0 * (dn2 - r) / m
+
+
+def geodesic(a, s):
+    """Unit-speed geodesic with momentum a >= 0 at arc lengths s (ell = 1).
+
+    Returns the arrays (x, y, theta, kappa) of the canonical vertex
+    geodesic: at s = 0 the front is at the origin at a curvature
+    maximum kappa = 1 + a with frame angle pi/2, and the momentum is
+    (px, py) = (a, 0).  With u = (1+a) s / 2 and m = 4a/(1+a)^2,
+
+        kappa = (1+a) dn(u),   y = -4 sn^2 / ((1+a) (1 + dn)),
+        x = (4 D(u) - 2u) / (1+a),   D(u) = int_0^u sn^2,
+        theta = pi/2 + arg(1 + a - 2 sn^2 + 2i sn cn),
+
+    written so that nothing is divided by a.  The phase is reduced to
+    u = 2jK + u_r with |u_r| <= K first: x then advances L per period
+    (see :func:`elliptic_period_advance`), and theta by 2 pi per period
+    for a < 1, so theta is continuous and depends on each s alone.  The
+    circle (a = 0) and the soliton (a = 1) are evaluated directly.
+    """
+    a = float(a)
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"momentum parameter a must be finite and >= 0, got {a}")
+    s = np.asarray(s, dtype=float)
+    if a == 0.0:
+        return (-np.sin(s), -2.0 * np.sin(0.5 * s) ** 2, 0.5 * math.pi + s,
+                np.ones_like(s))
+    if a == 1.0:
+        sech, tanh = _sech(s), np.tanh(s)
+        return (s - 2.0 * tanh, -2.0 * tanh * tanh / (1.0 + sech),
+                0.5 * math.pi + 2.0 * np.arctan(np.tanh(0.5 * s)), 2.0 * sech)
+    p = ((1.0 - a) / (1.0 + a)) ** 2
+    m = 4.0 * a / (1.0 + a) / (1.0 + a)
+    K = float(ellipkm1(p))
+    u = 0.5 * (1.0 + a) * s
+    j = np.rint(0.5 * u / K)
+    u_r = u - 2.0 * K * j
+    dn, sn2, sncn, d, S = _periodic_parts(a, u_r, K, p, m)
+    advance = 4.0 * (2.0 * float(elliprd(0.0, p, 1.0)) / 3.0 - K) / (1.0 + a)
+    x = (4.0 * d - 2.0 * u_r) / (1.0 + a) + advance * j
+    y = -4.0 * sn2 / ((1.0 + a) * (1.0 + dn))
+    psi = np.arctan2(2.0 * sncn, S)
+    if a < 1.0:
+        # psi runs from -pi to pi over |u_r| <= K; at the ends the rounded
+        # sign of sn cn may put it on the wrong side of the cut
+        cut = (np.abs(psi) > 0.5 * math.pi) & (psi * u_r < 0.0)
+        psi += np.where(cut, np.copysign(2.0 * math.pi, u_r), 0.0) + 2.0 * math.pi * j
+    return x, y, 0.5 * math.pi + psi, (1.0 + a) * dn
+
+
+def geodesic_phase(a, theta, kappa):
+    """Arc length s0 at which :func:`geodesic` passes through a reduced
+    unit-speed state with frame angle theta and curvature kappa > 0.
+
+    On the unit shell sin 2 am(u) = -kappa cos(theta) and
+    cos 2 am(u) = kappa sin(theta) - a (kappa' = a kappa cos(theta) fixes
+    the half period), and u = F(am | m) is evaluated as
+    sin(am) R_F(cos^2 am, cos^2 am + p sin^2 am, 1) with the complement
+    p = ((1-a)/(1+a))^2, so it stays exact as a -> 1.
+    """
+    a = float(a)
+    phi = 0.5 * math.atan2(-kappa * math.cos(theta), kappa * math.sin(theta) - a)
+    p = ((1.0 - a) / (1.0 + a)) ** 2
+    s, c = math.sin(phi), math.cos(phi)
+    u = s * float(elliprf(c * c, c * c + p * s * s, 1.0))
+    return 2.0 * u / (1.0 + a)

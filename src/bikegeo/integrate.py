@@ -9,9 +9,16 @@ ptheta = kappa, the signed curvature of the front track.  A reduced
 state is therefore integrated as the cotangent point (px, py) = (a, 0),
 and every geodesic runs through one flow on (x, y, theta, ptheta).
 
-Geodesics integrate one state at a time with classical fixed-step RK4
-on Python floats; a batch is a list of single integrations.  Conserved
-quantities are reported as drift, never projected back.
+Geodesics are sampled from the elliptic closed form
+(:func:`closed_forms.geodesic`): the curvature of a unit-speed geodesic
+is (1+a) dn((1+a) s / 2 | 4a/(1+a)^2), every state lies on the
+canonical vertex geodesic up to a phase, a rotation and a reflection,
+and the flow of a state off the unit shell is the unit-speed flow at
+the speed sqrt(2H).  :func:`rk4_geodesic` integrates the same flow with
+classical fixed-step RK4 on Python floats; it is kept as the
+independent oracle that the checks pin, and the ``geodesic`` command
+and the shortcut use it.  A batch is a list of single geodesics.
+Conserved quantities are reported as drift, never projected back.
 
 The horizontal lift ell * theta' = cos(theta) * y' - sin(theta) * x' is
 a Riccati equation, linear on v = (sin(theta/2), cos(theta/2)):
@@ -32,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .core import RigidMotion, SampledBikePath, _ell_value
-from . import numdiff
+from . import closed_forms, numdiff
 from .errors import DivergenceError, ImmersionError, NotUnitSpeedError
 
 DEFAULT_STEP = 1e-3
@@ -189,28 +196,51 @@ def _full_hamiltonian(traj, px, py):
     return 0.5 * (p1**2 + p2**2)
 
 
-def integrate_geodesics(states, t_end, step=DEFAULT_STEP, ell=1.0):
-    """Integrate a batch of geodesics on one time grid, one state at a
-    time; see :func:`integrate_geodesic`.  The batch budget is checked
-    before anything is integrated.  Returns a list of SampledBikePath.
+def _exact_geodesic(x, y, theta, ptheta, px, py, h, n_steps):
+    """The flow from one state sampled every h, from the closed form.
+
+    H is homogeneous of degree 2 in the momenta, so the flow is the
+    unit-speed flow of the momenta divided by lam = sqrt(2H), run at
+    lam times its speed.  That unit-speed state is rotated into the
+    reduced frame (:func:`canonicalize`) and reflected to kappa >= 0;
+    it is then the canonical vertex geodesic at the phase
+    :func:`closed_forms.geodesic_phase`, moved rigidly.  kappa = 0 is
+    the line (a = 1), where the frame angle follows the line's lift
+    theta' = -a sin(theta).  Returns rows (x, y, theta, ptheta) like
+    :func:`_geodesic_rk4`; the first row is the state itself, ptheta to
+    rounding.
     """
-    ell = _ell_value(ell)
-    if states:
-        _grid(t_end / ell, step / ell, len(states))
-    return [integrate_geodesic(s, t_end, step, ell) for s in states]
+    lam = math.sqrt(2.0 * CotangentState(x, y, theta, px, py, ptheta).hamiltonian())
+    # the scaled state is off the shell by rounding only, which grows
+    # with the momenta; the caller's gate already bounds 2H - 1 by 1e-6
+    reduced, g = canonicalize(
+        CotangentState(x, y, theta, px / lam, py / lam, ptheta / lam), tol=5e-7)
+    a, sign = reduced.a, -1.0 if reduced.kappa < 0.0 else 1.0
+    th0 = sign * reduced.theta
+    tau = (lam * h) * np.arange(n_steps + 1)
+    if reduced.kappa == 0.0:
+        c, s = math.cos(0.5 * th0), math.sin(0.5 * th0)
+        dx, dy = a * tau, np.zeros_like(tau)
+        dth = 2.0 * (np.arctan2(s * np.exp(-a * tau), c) - math.atan2(s, c))
+        kappa = np.zeros_like(tau)
+    else:
+        s0 = closed_forms.geodesic_phase(a, th0, abs(reduced.kappa))
+        gx, gy, gth, kappa = closed_forms.geodesic(a, s0 + tau)
+        dx, dy, dth = gx - gx[0], gy - gy[0], gth - gth[0]
+    # undo the reflection, then the rotation g
+    c, s = math.cos(g.rotation), math.sin(g.rotation)
+    dy = sign * dy
+    traj = np.empty((n_steps + 1, 4))
+    traj[:, 0] = x + (c * dx + s * dy)
+    traj[:, 1] = y + (c * dy - s * dx)
+    traj[:, 2] = theta + sign * dth
+    traj[:, 3] = (sign * lam) * kappa
+    return traj
 
 
-def integrate_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
-    """Integrate one unit-speed geodesic, sampled every step from 0 to t_end.
-
-    A CotangentState or a ReducedState, which runs as the cotangent point
-    (px, py) = (a, 0) with ptheta = kappa.  For a frame length other than
-    1 the state is read in physical units (positions and curvature in
-    length units); the flow runs in normalized units and the samples are
-    scaled back.  kappa holds the front-track curvature (ptheta);
-    ``drift`` is the worst change of the front speed squared (2H) for a
-    reduced state, of H for a cotangent state.
-    """
+def _sample_geodesic(state, t_end, step, ell, flow):
+    """Sample one unit-speed geodesic with flow (:func:`_exact_geodesic`
+    or :func:`_geodesic_rk4`); see :func:`integrate_geodesic`."""
     ell = _ell_value(ell)
     n, h = _grid(t_end / ell, step / ell)
     if isinstance(state, ReducedState):
@@ -223,12 +253,49 @@ def integrate_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
     if not (abs(speed2 - 1.0) <= 1e-6):
         raise NotUnitSpeedError(f"front speed^2 = 2H = {float(speed2)!r}, "
                                 "expected 1 for a unit-speed state")
-    traj = _geodesic_rk4(x, y, theta, ptheta, px, py, float(h), n)
+    traj = flow(x, y, theta, ptheta, px, py, float(h), n)
     energy = _full_hamiltonian(traj, px, py)
     drift = drift_scale * float(np.max(np.abs(energy - energy[0])))
     t = ell * (np.arange(n + 1) * h)
     return SampledBikePath(t, ell * traj[:, :2], traj[:, 2], traj[:, 3] / ell,
                            ell, drift)
+
+
+def integrate_geodesics(states, t_end, step=DEFAULT_STEP, ell=1.0):
+    """Sample a batch of geodesics on one time grid, one state at a
+    time; see :func:`integrate_geodesic`.  The batch budget is checked
+    before anything is evaluated.  Returns a list of SampledBikePath.
+    """
+    ell = _ell_value(ell)
+    if states:
+        _grid(t_end / ell, step / ell, len(states))
+    return [integrate_geodesic(s, t_end, step, ell) for s in states]
+
+
+def integrate_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
+    """Sample one unit-speed geodesic every step from 0 to t_end, exactly.
+
+    A CotangentState or a ReducedState, which runs as the cotangent point
+    (px, py) = (a, 0) with ptheta = kappa.  For a frame length other than
+    1 the state is read in physical units (positions and curvature in
+    length units); the flow runs in normalized units and the samples are
+    scaled back.  kappa holds the front-track curvature (ptheta);
+    ``drift`` is the worst change of the front speed squared (2H) for a
+    reduced state, of H for a cotangent state.  The samples come from
+    the elliptic closed form (:func:`closed_forms.geodesic`); states
+    within 1e-6 of the unit shell are accepted and followed exactly.
+    """
+    return _sample_geodesic(state, t_end, step, ell, _exact_geodesic)
+
+
+def rk4_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
+    """:func:`integrate_geodesic` by fixed-step RK4 of the flow.
+
+    The independent oracle of the closed form: same states, grid,
+    budgets and drift, with the discretization error of RK4 and a
+    DivergenceError where a state goes non-finite.
+    """
+    return _sample_geodesic(state, t_end, step, ell, _geodesic_rk4)
 
 
 @dataclass(frozen=True)

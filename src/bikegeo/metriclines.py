@@ -21,10 +21,11 @@ import numpy as np
 from .analysis import LINE, SOLITON, ElasticaClass
 # unused here; bound so that bench/spans.py can wrap them at this module
 from .analysis import canonical_orient, period_and_advance  # noqa: F401
+from .integrate import integrate_geodesic  # noqa: F401
 from .closed_forms import elliptic_period_advance
 from .core import ConfigPoint, SampledBikePath, _ell_value, angle_difference
 from .errors import EndpointMismatchError, InvalidPeriodError
-from .integrate import DEFAULT_STEP, ReducedState, _grid, integrate_geodesic
+from .integrate import DEFAULT_STEP, ReducedState, _grid, rk4_geodesic
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,10 @@ def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):
     momentum a and compare lengths.
 
     (T, L) come from the elliptic closed form.  The geodesic is then
-    integrated from its canonical vertex over exactly N periods, and the
-    shortcut must land on the same configuration (N*L, 0, pi/2), which
-    checks the closed form against the integrator.  Returns
+    integrated by RK4 (:func:`integrate.rk4_geodesic`) from its canonical
+    vertex over exactly N periods, and the shortcut must land on the same
+    configuration (N*L, 0, pi/2), which checks the closed form against an
+    independent integrator.  Returns
     (report, geodesic_path, shortcut_path).
     """
     ell = _ell_value(ell)
@@ -142,7 +144,7 @@ def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):
     N = shortcut_threshold(T, L, ell)
     # vertex state in physical units: curvature scales as 1/ell
     start = ReducedState(0.0, 0.0, 0.5 * math.pi, (1.0 + float(a)) / ell, float(a))
-    geo = integrate_geodesic(start, N * T, step, ell)
+    geo = rk4_geodesic(start, N * T, step, ell)
     end = geo.config(len(geo) - 1)
     cut = build_shortcut(ConfigPoint(0.0, 0.0, 0.5 * math.pi), N, L, ell,
                          step, expected_end=end, tol=1e-3)

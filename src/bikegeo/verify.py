@@ -178,7 +178,7 @@ def check_st_roundtrip():
 
 def check_energy_conservation():
     states = _random_unit_speed_states(np.random.default_rng(23), 20)
-    paths = geo.integrate_geodesics(states, 100.0, 1e-3)
+    paths = [geo.rk4_geodesic(s, 100.0, 1e-3) for s in states]
     worst = 0.0
     for s, p in zip(states, paths):
         h0 = s.hamiltonian()
@@ -197,7 +197,7 @@ def check_momenta_constant():
 
 def check_curvature_is_momentum():
     states = _random_unit_speed_states(np.random.default_rng(31), 5)
-    paths = geo.integrate_geodesics(states, 20.0, 1e-3)
+    paths = [geo.rk4_geodesic(s, 20.0, 1e-3) for s in states]
     worst = 0.0
     for p in paths:
         kfd = numdiff.curvature_from_track(p.front, p.t)
@@ -213,7 +213,7 @@ def check_unit_speed_constraint():
             s = geo.ReducedState(0.0, 0.0, 0.0, 1.0, 0.0)
         else:
             s = geo.canonical_vertex_state(a)
-        p = geo.integrate_geodesic(s, 20.0, 1e-3)
+        p = geo.rk4_geodesic(s, 20.0, 1e-3)
         dth = numdiff.deriv1_uniform(p.theta, p.t[1] - p.t[0])
         sl = numdiff.interior(len(p), 2)
         g = dth[sl] ** 2 + a**2 * np.cos(p.theta[sl]) ** 2
@@ -225,9 +225,9 @@ def check_reduced_full_agreement():
     states = _random_unit_speed_states(np.random.default_rng(37), 5)
     worst = 0.0
     for s in states:
-        full = geo.integrate_geodesic(s, 20.0, 1e-3)
+        full = geo.rk4_geodesic(s, 20.0, 1e-3)
         red_state, g = geo.canonicalize(s)
-        red = geo.integrate_geodesic(red_state, 20.0, 1e-3)
+        red = geo.rk4_geodesic(red_state, 20.0, 1e-3)
         back = act(g.inverse(), red)
         worst = max(worst,
                     float(np.max(np.abs(back.front - full.front))),
@@ -241,7 +241,7 @@ def check_rk4_order():
     t_end = 5.0
 
     def endpoint(h):
-        p = geo.integrate_geodesic(s, t_end, h)
+        p = geo.rk4_geodesic(s, t_end, h)
         return np.array([p.front[-1, 0], p.front[-1, 1], p.theta[-1], p.kappa[-1]])
 
     ref = endpoint(1e-3 / 8.0)
@@ -249,6 +249,28 @@ def check_rk4_order():
     e2 = float(np.max(np.abs(endpoint(4e-3) - ref)))
     ratio = e1 / e2 if e2 > 0 else math.inf
     return ratio >= 12.0, f"halving the step shrank the error {ratio:.1f}x (need >= 12)"
+
+
+def check_exact_geodesic_matches_rk4():
+    """The closed-form geodesic against RK4 at step 1e-3 over [0, 25]:
+    the width grid, random cotangent states (some with kappa < 0), and
+    the same at frame length 1.7.  RK4's own error there is <= 2.4e-10."""
+    randoms = _random_unit_speed_states(np.random.default_rng(59), 5)
+    worst = 0.0
+    for ell in (1.0, 1.7):
+        # vertex states in physical units: curvature scales as 1/ell
+        states = [geo.ReducedState(0.0, 0.0, 0.5 * math.pi, (1.0 + a) / ell, a)
+                  for a in WIDE_GRID + NARROW_GRID]
+        for s in states + randoms:
+            p = geo.integrate_geodesic(s, 25.0, 1e-3, ell)
+            q = geo.rk4_geodesic(s, 25.0, 1e-3, ell)
+            worst = max(worst, float(np.max(np.abs(p.front - q.front))),
+                        float(np.max(np.abs(p.theta - q.theta))),
+                        float(np.max(np.abs(p.kappa - q.kappa))))
+    n_neg = sum(s.ptheta < 0.0 for s in randoms)
+    return worst <= 1e-8, (f"max closed-form vs RK4 gap {worst:.2e} (tol 1e-8) "
+                           f"over {len(states) + len(randoms)} states "
+                           f"({n_neg} with kappa < 0) at ell = 1 and 1.7")
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +480,7 @@ def check_line_lift_theta_ode():
 
 
 def check_soliton_geodesic_matches_closed_form():
-    p = geo.integrate_geodesic(geo.soliton_vertex_state(), 25.0, 1e-3)
+    p = geo.rk4_geodesic(geo.soliton_vertex_state(), 25.0, 1e-3)
     ref = closed_forms.soliton_point(p.t, 0.0, 1.0)
     gap = float(np.max(np.abs(p.front - ref)))
     return gap <= 1e-6, f"geodesic front vs soliton closed form {gap:.2e} (tol 1e-6)"
@@ -785,6 +807,7 @@ SUITES = {
         ("unit_speed_constraint", check_unit_speed_constraint),
         ("reduced_full_agreement", check_reduced_full_agreement),
         ("rk4_order", check_rk4_order),
+        ("exact_geodesic_matches_rk4", check_exact_geodesic_matches_rk4),
     ],
     "analysis": [
         ("elastica_residual_grid", check_elastica_residual_grid),

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from bikegeo.analysis import canonical_orient, period_and_advance
-from bikegeo.closed_forms import (elliptic_period_advance, line_lift_theta,
+from bikegeo.closed_forms import (elliptic_period_advance, geodesic,
+                                  geodesic_phase, line_lift_theta,
                                   soliton_arclength, soliton_curvature,
                                   soliton_point, tractrix_point)
 from bikegeo.errors import NoPeriodError
-from bikegeo.integrate import canonical_vertex_state, integrate_geodesic
+from bikegeo.integrate import canonical_vertex_state, rk4_geodesic
 from bikegeo import numdiff
 
 
@@ -156,7 +157,89 @@ class TestEllipticPeriodAdvance:
         # 1 - m = 2.5e-13; RK4 measures (T, L) over one period
         a = 1.0 - 1e-6
         T_ref, L_ref = elliptic_period_advance(a)
-        p = integrate_geodesic(canonical_vertex_state(a), T_ref + 2.0, 1e-3)
+        p = rk4_geodesic(canonical_vertex_state(a), T_ref + 2.0, 1e-3)
         T, L = period_and_advance(canonical_orient(p)[0])
         assert abs(T - T_ref) <= 1e-6
         assert abs(L - L_ref) <= 1e-6
+
+
+def mp_geodesic(a, s, dps=40):
+    """Canonical vertex geodesic from mpmath's ellipfun and ellipe at dps
+    digits, with m, the phase and every cancelling form taken in mp
+    arithmetic from a: x = ((1+a^2) s - 2(1+a) E(am u)) / (2a),
+    y = (1+a)(dn - 1)/a, and theta from the continuous am u."""
+    mp = pytest.importorskip("mpmath")
+    rows = []
+    with mp.workdps(dps):
+        b = mp.mpf(a)
+        m = 4 * b / (1 + b) ** 2
+        K, E = mp.ellipk(m), mp.ellipe(m)
+        for si in np.asarray(s, dtype=float).tolist():
+            u = (1 + b) * mp.mpf(si) / 2
+            j = mp.floor((u + K) / (2 * K))
+            sn, cn, dn = (mp.ellipfun(f, u - 2 * j * K, m=m) for f in ("sn", "cn", "dn"))
+            am = mp.atan2(sn, cn)
+            x = ((1 + b * b) * 2 * u / (1 + b)
+                 - 2 * (1 + b) * (mp.ellipe(am, m) + 2 * j * E)) / (2 * b)
+            am += j * mp.pi
+            if b < 1:
+                theta = (mp.pi / 2 + 2 * am
+                         - mp.atan2(b * mp.sin(2 * am), 1 + b * mp.cos(2 * am)))
+            else:
+                theta = mp.pi / 2 + mp.atan2(mp.sin(2 * am), b + mp.cos(2 * am))
+            rows.append([float(x), float((1 + b) * (dn - 1) / b), float(theta),
+                         float((1 + b) * dn)])
+    return np.array(rows)
+
+
+class TestExactGeodesic:
+    S = np.linspace(-5.0, 25.0, 21) + 0.0137
+
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.3, 3 - 2 * math.sqrt(2), 0.999,
+                                   1 - 1e-6, 1 + 1e-6, 1.001,
+                                   3 + 2 * math.sqrt(2), 4.0])
+    def test_matches_mpmath(self, a):
+        # near a = 0 the 1/a forms cancel, near a = 1 the parameter
+        # m = 1 - 2.5e-13 loses its complement to rounding; both sides of
+        # the m = 1/2 switch (a = 3 -+ 2 sqrt 2) are covered
+        got = np.stack(geodesic(a, self.S), axis=1)
+        assert np.max(np.abs(got - mp_geodesic(a, self.S))) <= 1e-13
+
+    def test_vertex_pose(self):
+        for a in (0.0, 1e-6, 0.5, 1.0, 1 + 1e-6, 3.0):
+            x, y, theta, kappa = geodesic(a, 0.0)
+            assert abs(x) <= 1e-15 and abs(y) <= 1e-15
+            assert theta == 0.5 * math.pi and kappa == pytest.approx(1.0 + a, rel=1e-15)
+
+    def test_circle_and_soliton_limits(self):
+        s = np.linspace(-20.0, 20.0, 801)
+        x, y, theta, kappa = geodesic(0.0, s)
+        assert np.max(np.hypot(x, y + 1.0) - 1.0) <= 1e-15
+        assert np.array_equal(theta, 0.5 * math.pi + s) and np.all(kappa == 1.0)
+        x, y, theta, kappa = geodesic(1.0, s)
+        ref = soliton_point(s) - np.array([0.0, 2.0])
+        assert np.max(np.abs(np.stack([x, y], axis=1) - ref)) <= 1e-14
+        assert np.max(np.abs(kappa - soliton_curvature(s))) <= 1e-15
+        # the limits are continuous in a (near a = 1 only for |s| well
+        # inside the half period K ~ ln(4 / sqrt(p)))
+        s = np.linspace(-8.0, 8.0, 33)
+        for a, lim in ((1e-12, 0.0), (1.0 - 1e-12, 1.0), (1.0 + 1e-12, 1.0)):
+            near, at = np.stack(geodesic(a, s)), np.stack(geodesic(lim, s))
+            assert np.max(np.abs(near - at)) <= 1e-8
+
+    def test_phase_inverts_geodesic(self):
+        # the phase is defined up to whole curvature periods T
+        for a in (1e-3, 0.4, 1 - 1e-6, 1.001, 2.5):
+            T, _L = elliptic_period_advance(a)
+            s = np.linspace(-3.0, 3.0, 13)
+            _x, _y, theta, kappa = geodesic(a, s)
+            back = np.array([geodesic_phase(a, th, k)
+                             for th, k in zip(theta.tolist(), kappa.tolist())])
+            assert np.all(np.abs(back) <= 0.5 * T)
+            turns = (back - s) / T
+            assert np.max(np.abs(turns - np.rint(turns))) * T <= 1e-9
+
+    def test_rejects_invalid_momentum(self):
+        for a in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                geodesic(a, [0.0, 1.0])

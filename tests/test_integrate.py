@@ -22,7 +22,7 @@ from bikegeo.integrate import (CotangentState, FrontTrackSpec, ReducedState,
                                canonical_vertex_state, canonicalize,
                                hamiltonian_rhs, horizontal_lift,
                                integrate_geodesic, integrate_geodesics,
-                               lift_frame_angles, reduced_rhs,
+                               lift_frame_angles, reduced_rhs, rk4_geodesic,
                                soliton_vertex_state)
 from bikegeo import numdiff
 from bikegeo.verify import _rk4
@@ -101,13 +101,17 @@ class TestGeodesics:
     def test_soliton_matches_closed_form(self):
         p = integrate_geodesic(soliton_vertex_state(), 20.0, 1e-3)
         ref = soliton_point(p.t, 0.0, 1.0)
-        assert np.max(np.abs(p.front - ref)) <= 1e-6
+        assert np.max(np.abs(p.front - ref)) <= 1e-13
 
     def test_line_solution(self):
+        # kappa = 0 at a = 1: the frame angle follows the line's lift,
+        # tan(theta/2) = tan(theta0/2) exp(-t)
         p = integrate_geodesic(ReducedState(2.0, -1.0, 0.7, 0.0, 1.0), 10.0, 1e-3)
-        assert np.max(np.abs(p.front[:, 0] - (2.0 + p.t))) <= 1e-9
-        assert np.max(np.abs(p.front[:, 1] + 1.0)) <= 1e-9
+        assert np.max(np.abs(p.front[:, 0] - (2.0 + p.t))) <= 1e-14
+        assert np.max(np.abs(p.front[:, 1] + 1.0)) == 0.0
         assert np.max(np.abs(p.kappa)) == 0.0
+        theta = 2.0 * np.arctan(math.tan(0.35) * np.exp(-p.t))
+        assert np.max(np.abs(p.theta - theta)) <= 1e-14
 
     def test_circle_closes(self):
         p = integrate_geodesic(ReducedState(0, 0, 0, 1.0, 0.0), 2 * math.pi, 1e-3)
@@ -174,9 +178,9 @@ class TestGeodesics:
 
     def test_convergence_is_fourth_order(self):
         s = canonical_vertex_state(0.7)
-        ref = integrate_geodesic(s, 5.0, 1e-3 / 8).front[-1]
-        e1 = np.max(np.abs(integrate_geodesic(s, 5.0, 8e-3).front[-1] - ref))
-        e2 = np.max(np.abs(integrate_geodesic(s, 5.0, 4e-3).front[-1] - ref))
+        ref = rk4_geodesic(s, 5.0, 1e-3 / 8).front[-1]
+        e1 = np.max(np.abs(rk4_geodesic(s, 5.0, 8e-3).front[-1] - ref))
+        e2 = np.max(np.abs(rk4_geodesic(s, 5.0, 4e-3).front[-1] - ref))
         assert e1 / e2 >= 12.0
 
     def test_frame_length_rescaling(self):
@@ -201,7 +205,7 @@ class TestGeodesics:
         # at curvature 1e9 the step 1e-3 cannot follow the flow: a stage
         # angle goes infinite, where math.sin raises instead of giving nan
         with pytest.raises(DivergenceError) as err:
-            integrate_geodesic(canonical_vertex_state(1e9), 1.0)
+            rk4_geodesic(canonical_vertex_state(1e9), 1.0)
         assert err.value.t == 0.015
         out, errs = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
@@ -212,6 +216,70 @@ class TestGeodesics:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
             "error": "divergence", "message": "non-finite state at t = 0.015"}
+
+
+def _cotangent(x, y, theta, alpha, ptheta, speed=1.0):
+    """Cotangent state with P = speed * (cos alpha, sin alpha)."""
+    px = speed * math.cos(alpha) + math.sin(theta) * ptheta
+    py = speed * math.sin(alpha) - math.cos(theta) * ptheta
+    return CotangentState(x, y, theta, px, py, ptheta)
+
+
+class TestExactGeodesics:
+    """integrate_geodesic samples the elliptic closed form."""
+
+    @pytest.mark.parametrize("kappa", [1.0, -1.0])
+    def test_circle_of_either_sign(self, kappa):
+        x0, y0, th0 = 0.4, -1.2, 2.1
+        p = integrate_geodesic(ReducedState(x0, y0, th0, kappa, 0.0), 20.0, 1e-3)
+        th = th0 + kappa * p.t
+        ref = np.stack([x0 + np.cos(th) - math.cos(th0),
+                        y0 + np.sin(th) - math.sin(th0)], axis=1)
+        assert np.max(np.abs(p.front - ref)) <= 1e-13
+        assert np.max(np.abs(p.theta - th)) <= 1e-13
+        assert np.all(p.kappa == kappa)
+
+    @pytest.mark.parametrize("state", [
+        canonical_vertex_state(0.3), canonical_vertex_state(2.0),
+        _cotangent(0.5, -0.3, 1.2, 0.0, -0.9)], ids=["wide", "narrow", "cotangent"])
+    def test_coarse_grid_samples_the_same_path(self, state):
+        # theta depends on each arc length alone, never on the samples
+        # before it: at step 4 it turns by more than pi between samples
+        fine = integrate_geodesic(state, 24.0, 1e-3)
+        for step in (0.5, 4.0):
+            coarse = integrate_geodesic(state, 24.0, step)
+            stride = round(step / 1e-3)
+            for field in ("front", "theta", "kappa"):
+                got, want = getattr(coarse, field), getattr(fine, field)[::stride]
+                assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("state", [
+        ReducedState(0.0, 0.0, 0.5 * math.pi, 1.6 * math.sqrt(1 + 5e-7),
+                     0.6 * math.sqrt(1 + 5e-7)),
+        _cotangent(0.5, -0.3, 1.2, 2.0, -0.9, math.sqrt(1 + 5e-7))],
+        ids=["reduced", "cotangent"])
+    def test_off_shell_state_matches_rk4(self, state):
+        # 2H - 1 = 5e-7 is inside the gate: the closed form runs the
+        # momenta scaled onto the unit shell at the state's own speed
+        p = integrate_geodesic(state, 25.0, 1e-3)
+        q = rk4_geodesic(state, 25.0, 1e-3)
+        for field in ("front", "theta", "kappa"):
+            assert np.max(np.abs(getattr(p, field) - getattr(q, field))) <= 1e-8
+        assert p.drift <= 1e-14
+
+    @pytest.mark.parametrize("ell", [1.0, 1.7])
+    def test_sample_zero_is_the_state(self, ell):
+        states = [ReducedState(0.3, -0.7, 2.0, 1.0 / ell, 0.0),
+                  ReducedState(0.3, -0.7, 0.5 * math.pi, 1.5 / ell, 0.5),
+                  ReducedState(0.3, -0.7, -0.4, 0.0, 1.0),
+                  _cotangent(0.5, -0.3, 1.2, 2.0, -0.9),
+                  _cotangent(-1.1, 0.8, -2.5, 0.3, 1.3)]
+        for s in states:
+            p = integrate_geodesic(s, 1.0, 1e-3, ell)
+            q = rk4_geodesic(s, 1e-3, 1e-3, ell)
+            assert np.array_equal(p.front[0], q.front[0])
+            assert p.theta[0] == q.theta[0] == s.theta
+            assert p.kappa[0] == pytest.approx(q.kappa[0], rel=1e-15, abs=1e-300)
 
 
 def _array_flow(y, px, py):
@@ -226,7 +294,7 @@ def _array_flow(y, px, py):
 
 def _array_geodesics(states, t_end, step, ell):
     """Batch RK4 of _array_flow through the array stepper, scaled and
-    reported as integrate_geodesics does."""
+    reported as rk4_geodesic does."""
     n, h = _grid(t_end / ell, step / ell)
     rows = np.array([
         (s.x / ell, s.y / ell, s.theta, s.kappa * ell, s.a, 0.0, 2.0)
@@ -252,7 +320,7 @@ def test_stepper_matches_array_reference_bitwise(ell):
         ReducedState(0.0, 2.0 * ell, 0.5 * math.pi, 2.0 / ell, 1.0),
         ReducedState(0.0, 0.0, 0.0, 1.0 / ell, 0.0),
     ]
-    paths = integrate_geodesics(states, 3.0 * ell, 1e-3 * ell, ell)
+    paths = [rk4_geodesic(s, 3.0 * ell, 1e-3 * ell, ell) for s in states]
     for p, ref in zip(paths, _array_geodesics(states, 3.0 * ell, 1e-3 * ell, ell)):
         for got, want in zip((p.t, p.front, p.theta, p.kappa), ref[:4]):
             assert np.array_equal(got, want)

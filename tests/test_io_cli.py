@@ -179,7 +179,7 @@ class TestCli:
     def test_divergence_exit_code(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise DivergenceError("blew up", t=0.5)
-        monkeypatch.setattr(cli.geo, "integrate_geodesic", boom)
+        monkeypatch.setattr(cli.geo, "rk4_geodesic", boom)
         rc = cli.main(["geodesic", "--a", "0.5", "--kappa0", "1.5"])
         assert rc == 3
         assert json.loads(capsys.readouterr().err.strip())["error"] == "divergence"
@@ -367,7 +367,8 @@ class TestVerifyCommand:
 
 class TestMutationSmoke:
     """A deliberately injected sign error in the geodesic flow must trip
-    at least three independent verification suites, and one in the
+    at least three independent verification suites, one in the closed-form
+    geodesic its RK4 check and two of criteria 3-6, and one in the
     frame-transport generator every lift probe (development fixture)."""
 
     def test_sign_error_fails_suites(self, monkeypatch):
@@ -392,6 +393,26 @@ class TestMutationSmoke:
                 ok = False
             failed_suites += not ok
         assert failed_suites >= 3
+
+    def test_closed_form_sign_error_fails_checks(self, monkeypatch):
+        good = closed_forms._periodic_parts
+
+        def broken(a, u, K, p, m):
+            dn, sn2, sncn, d, s = good(a, u, K, p, m)
+            return dn, sn2, sncn, d, 2.0 + 2.0 * a - s  # wrong sign on sn^2 in sin(theta)
+
+        monkeypatch.setattr(closed_forms, "_periodic_parts", broken)
+        assert not verify.check_exact_geodesic_matches_rk4()[0]
+        criteria = [verify.check_elastica_residual_grid, verify.check_widths,
+                    verify.check_vertex_angles, verify.check_flip_structure]
+        failed = 0
+        for fn in criteria:
+            try:
+                ok, _ = fn()
+            except Exception:
+                ok = False
+            failed += not ok
+        assert failed >= 2
 
     def test_lift_sign_error_fails_suites(self, monkeypatch):
         good = geo._lift_generator
