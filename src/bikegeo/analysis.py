@@ -136,25 +136,26 @@ class VertexReport:
         return [v for v in self.vertices if v.kind == "min"]
 
 
-def _quad_refine(t, values, i):
-    """Vertex of the parabola through samples i-1, i, i+1.
+def _quad_refine(t, values):
+    """Vertex of the parabola through three samples (t[k], values[k]).
 
-    Returns (t*, s*) with s* the offset in units of the local spacing;
-    falls back to the sample itself when the parabola is flat.
+    Returns (t*, s*) with s* the offset from the middle sample in units
+    of the local spacing; falls back to the middle sample when the
+    parabola is flat.
     """
-    y0, y1, y2 = values[i - 1], values[i], values[i + 1]
+    y0, y1, y2 = values
     denom = y0 - 2.0 * y1 + y2
     if denom == 0.0:
-        return float(t[i]), 0.0
-    s = 0.5 * (y0 - y2) / denom
-    s = float(np.clip(s, -1.0, 1.0))
-    h = 0.5 * (t[i + 1] - t[i - 1])
-    return float(t[i] + s * h), s
+        return float(t[1]), 0.0
+    s = min(max(float(0.5 * (y0 - y2) / denom), -1.0), 1.0)
+    h = 0.5 * (t[2] - t[0])
+    return float(t[1] + s * h), s
 
 
-def _quad_value(values, i, s):
-    """Quadratic interpolation of sample column(s) at offset s from i."""
-    y0, y1, y2 = values[i - 1], values[i], values[i + 1]
+def _quad_value(values, s):
+    """Quadratic interpolation of three samples at offset s from the
+    middle one."""
+    y0, y1, y2 = values
     return y1 + 0.5 * s * (y2 - y0) + 0.5 * s * s * (y2 - 2.0 * y1 + y0)
 
 
@@ -195,33 +196,48 @@ def _extended(x):
                            [3.0 * x[-1] - 3.0 * x[-2] + x[-3]]])
 
 
+def _window(x, j):
+    """Samples j-1, j, j+1 of x as floats, taking the sample that
+    :func:`_extended` adds where the window passes an end."""
+    if j == 0:
+        x0, x1, x2 = x[:3].tolist()
+        return [3.0 * x0 - 3.0 * x1 + x2, x0, x1]
+    if j == len(x) - 1:
+        x0, x1, x2 = x[-3:].tolist()
+        return [x1, x2, 3.0 * x2 - 3.0 * x1 + x0]
+    return x[j - 1:j + 2].tolist()
+
+
 def find_vertices(path):
     """Locate curvature extrema of the front track.
 
     Extrema are detected by sign changes of the finite-difference
     curvature slope and refined by 3-point quadratic interpolation.  The
-    samples are first extended by one quadratically extrapolated sample
+    curvature is first extended by one quadratically extrapolated sample
     at each end, so a vertex up to half a spacing beyond the first or
-    last sample is found too; its time is not clipped to the path.
-    Paths whose curvature is constant to roundoff (lines, circles)
-    produce an empty report.
+    last sample is found too; its time is not clipped to the path.  Time,
+    frame angle and position are read from each extremum's three
+    samples alone, extrapolated the same way at an end.  Paths whose
+    curvature is constant to roundoff (lines, circles) produce an empty
+    report.
     """
     if len(path) < 5:
         raise DegenerateInputError("need at least 5 samples to find vertices")
-    kmax = float(np.max(np.abs(path.kappa)))
-    krange = float(np.max(path.kappa) - np.min(path.kappa))
-    if krange <= 1e-8 * max(1.0, kmax):
+    hi, lo = float(np.max(path.kappa)), float(np.min(path.kappa))
+    krange = hi - lo
+    if krange <= 1e-8 * max(1.0, hi, -lo):
         return VertexReport(())
 
-    t, k = _extended(path.t), _extended(path.kappa)
-    theta, front = _extended(path.theta), _extended(path.front)
+    k = _extended(path.kappa)
+    x, y = path.front[:, 0], path.front[:, 1]
     entries = []
     for i, kind in zip(*_raw_extrema(k)):
-        tv, s = _quad_refine(t, k, i)
-        kv = float(_quad_value(k, i, s))
-        th = normalize_angle(float(_quad_value(theta, i, s)))
-        pos = _quad_value(front, i, s)
-        entries.append(Vertex(tv, kind, kv, th, (float(pos[0]), float(pos[1]))))
+        j = i - 1  # extended sample i is sample i - 1 of the path
+        window = k[i - 1:i + 2].tolist()
+        tv, s = _quad_refine(_window(path.t, j), window)
+        th = normalize_angle(_quad_value(_window(path.theta, j), s))
+        pos = (_quad_value(_window(x, j), s), _quad_value(_window(y, j), s))
+        entries.append(Vertex(tv, kind, _quad_value(window, s), th, pos))
     return VertexReport(tuple(_prune_jitter(entries, krange)))
 
 
@@ -319,8 +335,9 @@ def _refined_extent(values, t):
 
     def refined(i, sign):
         if 0 < i < values.size - 1:
-            _tv, s = _quad_refine(t, sign * values, i)
-            return float(_quad_value(values, i, s))
+            window = values[i - 1:i + 2]
+            _tv, s = _quad_refine(t[i - 1:i + 2], sign * window)
+            return float(_quad_value(window, s))
         return float(values[i])
 
     return refined(hi_i, 1.0) - refined(lo_i, -1.0)

@@ -33,6 +33,13 @@ from .errors import NoPeriodError
 _SECH_CLAMP = 700.0
 
 
+def _momentum(a):
+    a = float(a)
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"momentum parameter a must be finite and >= 0, got {a}")
+    return a
+
+
 def _sech(x):
     x = np.asarray(x, dtype=float)
     out = 1.0 / np.cosh(np.clip(x, -_SECH_CLAMP, _SECH_CLAMP))
@@ -121,9 +128,7 @@ def elliptic_period_advance(a, ell=1.0):
     Circles (a = 0) and solitons (a = 1), as classified within
     CLASS_TOL, have no period and raise NoPeriodError.
     """
-    a = float(a)
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"momentum parameter a must be finite and >= 0, got {a}")
+    a = _momentum(a)
     ell = _ell_value(ell)
     if a <= CLASS_TOL or abs(a - 1.0) <= CLASS_TOL:
         raise NoPeriodError(f"no curvature period at a={a}: circle or soliton")
@@ -148,14 +153,20 @@ def _periodic_parts(a, u, K, p, m):
     For m <= 1/2 these come from ellipj, with D in the Carlson form
     sn^3 R_D(cn^2, dn^2, 1) / 3.  Above m = 1/2 ellipj would lose the
     complement p = 1 - m to rounding (all of it as a -> 1), so dn is
-    summed as the soliton lattice
-    dn(u) = c sum_n sech(c (u - 2nK)) with c = pi / (2 K(p)),
-    and its derivative and integral follow term by term:
-    sn cn = -dn' / m and
-    int_0^u dn^2 = (1 - E(p)/K(p)) u + c sum_n tanh(c (u - 2nK)).
-    The pulses beyond n_max are below 2 exp(-pi (2 n_max - 1) K / (2 K(p)))
-    < 1e-17.  S is then taken as 2 (dn^2 - (1-a)/(1+a)) / m, which keeps
-    its full relative precision where it is as small as sqrt(p).
+    summed as the soliton lattice (DLMF 22.11)
+    dn(u) = c sum_n sech(x - n alpha) with x = c u, c = pi / (2 K(p))
+    and alpha = 2 c K, and its derivative and integral follow term by
+    term: sn cn = -dn' / m and
+    int_0^u dn^2 = (1 - E(p)/K(p)) u + c sum_n tanh(x - n alpha).
+    Every pulse comes from w = e^x, since e^(x - n alpha) = w q^n with
+    q = e^-alpha.  The pulses |n| <= 1 are summed as they are; each tail
+    |n| >= 2 is a series in y = e^(+-x) q^2 <= e^(-3 alpha / 2) <= 0.009,
+    sum sech = 2 sum_k (-1)^k y^(2k+1) / (1 - q^(2k+1)), and likewise
+    for sech tanh and tanh.  One to four terms are kept, so that the
+    first one dropped is below 2^-56 e^(-alpha / 2), under a rounding
+    unit of dn's minimum sqrt(p) ~ 4 c e^(-alpha / 2).  S is then taken
+    as 2 (dn^2 - (1-a)/(1+a)) / m, which keeps its full relative
+    precision where it is as small as sqrt(p).
     """
     if m <= 0.5:
         sn, cn, dn, _am = ellipj(u, m)
@@ -164,20 +175,63 @@ def _periodic_parts(a, u, K, p, m):
         return dn, sn2, sn * cn, d, 1.0 + a - 2.0 * sn2
     kp = float(ellipk(p))
     c = 0.5 * math.pi / kp
-    n_max = math.ceil(13.0 * kp / K) + 1
-    dn, ddn, tanh_sum = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
-    for n in range(-n_max, n_max + 1):
-        z = c * (u - 2.0 * n * K)
-        sech, tanh = 1.0 / np.cosh(z), np.tanh(z)
-        dn += sech
-        ddn += sech * tanh
-        tanh_sum += tanh
-    dn *= c
-    ddn *= -c * c
-    dn2 = dn * dn
-    d = (float(ellipe(p)) / kp * u - c * tanh_sum) / m
-    r = (1.0 - a) / (1.0 + a)
-    return dn, (1.0 - dn2) / m, -ddn / m, d, 2.0 * (dn2 - r) / m
+    alpha = 2.0 * c * K
+    q = math.exp(-alpha)
+    # half_dn, half_dd and half_tc hold sum sech / 2, sum sech tanh / 2
+    # and (3 - sum tanh) / 2 over the lattice; every array is updated in
+    # place, since on arrays this size a fresh array costs more than the
+    # arithmetic
+    half_dn, half_dd, half_tc = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    w = np.exp(c * u)
+    # the tails by Horner in y^2; the first power dropped is
+    # y^(2 terms + 1) <= 2^-56 e^(-alpha / 2)
+    terms = max(1, math.ceil(56.0 * math.log(2.0) / (3.0 * alpha) - 1.0 / 3.0))
+    odd = [(-1.0) ** k / -math.expm1(-(2 * k + 1) * alpha) for k in range(terms)]
+    odd_dd = [(2 * k + 1) * b for k, b in enumerate(odd)]
+    even = [(-1.0) ** k / -math.expm1(-(2 * k + 2) * alpha) for k in range(terms)]
+    for y, upper in ((q * q * w, True), (q * q / w, False)):
+        # y = q^2 w sums the pulses n >= 2, where sech tanh < 0 and
+        # tanh ~ -1; y = q^2 / w the pulses n <= -2
+        y2 = y * y
+        for total, coef, power, add in ((half_dn, odd, y, True),
+                                        (half_dd, odd_dd, y, not upper),
+                                        (half_tc, even, y2, not upper)):
+            acc = np.full_like(y2, coef[-1])
+            for b in coef[-2::-1]:
+                acc *= y2
+                acc += b
+            acc *= power
+            if add:
+                total += acc
+            else:
+                total -= acc
+    # pulses n = 1, -1, 0 with r = 1 / (1 + w^2): sech = 2wr, tanh = 1 - 2r;
+    # the last one overwrites w
+    for wn in (q * w, w / q, w):
+        r = wn * wn
+        r += 1.0
+        np.reciprocal(r, out=r)
+        half_tc += r
+        wn *= r
+        half_dn += wn
+        half_dd += wn
+        wn *= r
+        wn *= 2.0
+        half_dd -= wn
+    dn = half_dn
+    dn *= 2.0 * c
+    S = dn * dn
+    sn2 = 1.0 - S
+    sn2 /= m
+    S -= (1.0 - a) / (1.0 + a)
+    S *= 2.0 / m
+    half_dd *= 2.0 * c * c / m
+    # D = (E(p)/K(p) u - c sum tanh) / m with sum tanh = 3 - 2 half_tc
+    d = half_tc
+    d *= 2.0 * c / m
+    d += (float(ellipe(p)) / (kp * m)) * u
+    d -= 3.0 * c / m
+    return dn, sn2, half_dd, d, S
 
 
 def geodesic(a, s):
@@ -198,10 +252,10 @@ def geodesic(a, s):
     for a < 1, so theta is continuous and depends on each s alone.  The
     circle (a = 0) and the soliton (a = 1) are evaluated directly.
     """
-    a = float(a)
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"momentum parameter a must be finite and >= 0, got {a}")
+    a = _momentum(a)
     s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("arc lengths s must be finite")
     if a == 0.0:
         return (-np.sin(s), -2.0 * np.sin(0.5 * s) ** 2, 0.5 * math.pi + s,
                 np.ones_like(s))
@@ -212,20 +266,32 @@ def geodesic(a, s):
     p = ((1.0 - a) / (1.0 + a)) ** 2
     m = 4.0 * a / (1.0 + a) / (1.0 + a)
     K = float(ellipkm1(p))
-    u = 0.5 * (1.0 + a) * s
-    j = np.rint(0.5 * u / K)
-    u_r = u - 2.0 * K * j
-    dn, sn2, sncn, d, S = _periodic_parts(a, u_r, K, p, m)
+    # the arrays are updated in place, as in _periodic_parts
+    u = 0.5 * (1.0 + a) * s.reshape(-1)
+    j = 0.5 * u
+    j /= K
+    np.rint(j, out=j)
+    u_r = u
+    u_r -= 2.0 * K * j
+    dn, y, psi, x, S = _periodic_parts(a, u_r, K, p, m)
     advance = 4.0 * (2.0 * float(elliprd(0.0, p, 1.0)) / 3.0 - K) / (1.0 + a)
-    x = (4.0 * d - 2.0 * u_r) / (1.0 + a) + advance * j
-    y = -4.0 * sn2 / ((1.0 + a) * (1.0 + dn))
-    psi = np.arctan2(2.0 * sncn, S)
+    # x = (4 D - 2 u_r) / (1 + a) + advance j, y = -4 sn^2 / ((1 + a) (1 + dn))
+    x *= 4.0
+    x -= 2.0 * u_r
+    x /= 1.0 + a
+    x += advance * j
+    y *= -4.0 / (1.0 + a)
+    y /= 1.0 + dn
+    psi *= 2.0
+    np.arctan2(psi, S, out=psi)
     if a < 1.0:
         # psi runs from -pi to pi over |u_r| <= K; at the ends the rounded
         # sign of sn cn may put it on the wrong side of the cut
         cut = (np.abs(psi) > 0.5 * math.pi) & (psi * u_r < 0.0)
         psi += np.where(cut, np.copysign(2.0 * math.pi, u_r), 0.0) + 2.0 * math.pi * j
-    return x, y, 0.5 * math.pi + psi, (1.0 + a) * dn
+    psi += 0.5 * math.pi
+    dn *= 1.0 + a
+    return tuple(v.reshape(s.shape) for v in (x, y, psi, dn))
 
 
 def geodesic_phase(a, theta, kappa):
@@ -236,9 +302,14 @@ def geodesic_phase(a, theta, kappa):
     cos 2 am(u) = kappa sin(theta) - a (kappa' = a kappa cos(theta) fixes
     the half period), and u = F(am | m) is evaluated as
     sin(am) R_F(cos^2 am, cos^2 am + p sin^2 am, 1) with the complement
-    p = ((1-a)/(1+a))^2, so it stays exact as a -> 1.
+    p = ((1-a)/(1+a))^2, so it stays exact as a -> 1.  The momentum a
+    must be finite and >= 0, theta finite and kappa finite and > 0.
     """
-    a = float(a)
+    a = _momentum(a)
+    theta, kappa = float(theta), float(kappa)
+    if not (math.isfinite(theta) and math.isfinite(kappa) and kappa > 0.0):
+        raise ValueError(f"need a finite theta and a finite kappa > 0, got "
+                         f"theta={theta}, kappa={kappa}")
     phi = 0.5 * math.atan2(-kappa * math.cos(theta), kappa * math.sin(theta) - a)
     p = ((1.0 - a) / (1.0 + a)) ** 2
     s, c = math.sin(phi), math.cos(phi)

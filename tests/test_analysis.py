@@ -10,7 +10,7 @@ from bikegeo.analysis import (ElasticaParams, back_width, canonical_orient,
                               classify, energy_residual, find_vertices,
                               fit_elastica_params, front_width,
                               period_and_advance, strip_width)
-from bikegeo.closed_forms import elliptic_period_advance
+from bikegeo.closed_forms import elliptic_period_advance, geodesic
 from bikegeo.core import RigidMotion, SampledBikePath, act
 from bikegeo.errors import (InsufficientExtentError, InvalidPeriodError,
                             NoDirectrixError, NoPeriodError)
@@ -190,6 +190,63 @@ class TestVertices:
                                                  rng.choice(["max", "min"], n),
                                                  rng.choice(levels, n))]
             assert analysis._prune_jitter(entries, 1.0) == restart_loop(entries, 1e-4)
+
+    @staticmethod
+    def extended_array_vertices(path):
+        # the reference the windowed reads replace: every column extended
+        # by one extrapolated sample at each end, then read at the extremum
+        def extended(x):
+            return np.concatenate([[3.0 * x[0] - 3.0 * x[1] + x[2]], x,
+                                   [3.0 * x[-1] - 3.0 * x[-2] + x[-3]]])
+
+        def quad_value(values, i, s):
+            y0, y1, y2 = values[i - 1], values[i], values[i + 1]
+            return y1 + 0.5 * s * (y2 - y0) + 0.5 * s * s * (y2 - 2.0 * y1 + y0)
+
+        kmax = float(np.max(np.abs(path.kappa)))
+        krange = float(np.max(path.kappa) - np.min(path.kappa))
+        if krange <= 1e-8 * max(1.0, kmax):
+            return analysis.VertexReport(())
+        t, k = extended(path.t), extended(path.kappa)
+        theta, front = extended(path.theta), extended(path.front)
+        entries = []
+        for i, kind in zip(*analysis._raw_extrema(k)):
+            denom = k[i - 1] - 2.0 * k[i] + k[i + 1]
+            if denom == 0.0:
+                tv, s = float(t[i]), 0.0
+            else:
+                s = float(np.clip(0.5 * (k[i - 1] - k[i + 1]) / denom, -1.0, 1.0))
+                tv = float(t[i] + s * (0.5 * (t[i + 1] - t[i - 1])))
+            pos = quad_value(front, i, s)
+            entries.append(analysis.Vertex(
+                tv, kind, float(quad_value(k, i, s)),
+                analysis.normalize_angle(float(quad_value(theta, i, s))),
+                (float(pos[0]), float(pos[1]))))
+        return analysis.VertexReport(tuple(analysis._prune_jitter(entries, krange)))
+
+    def test_windows_match_extended_arrays(self, geodesic_cache):
+        # vertices within half a spacing of the first or last sample,
+        # on either side of it, read the extrapolated end samples
+        h = 1e-3
+        paths = [geodesic_cache(0.5), geodesic_cache(2.0, 25.0)]
+        for a in (0.5, 2.0, 0.9):
+            T, _L = elliptic_period_advance(a)
+            for f in (-0.4, -0.1, 0.1, 0.4):
+                s = f * h + np.arange(int(round(2 * T / h)) + 1) * h
+                x, y, theta, kappa = geodesic(a, s)
+                paths.append(SampledBikePath(s, np.stack([x, y], axis=1), theta, kappa))
+        paths += [act(RigidMotion.reflection_x(), p) for p in paths]
+        noise = np.random.default_rng(3).normal(0.0, 1e-6, len(paths[1]))
+        paths.append(SampledBikePath(paths[1].t, paths[1].front, paths[1].theta,
+                                     paths[1].kappa + noise))
+        ends = 0
+        for p in paths:
+            report = find_vertices(p)
+            assert len(report) > 0
+            assert repr(report) == repr(self.extended_array_vertices(p))
+            ends += sum(min(abs(v.t - p.t[0]), abs(v.t - p.t[-1])) <= 0.5 * h
+                        for v in report)
+        assert ends >= 24
 
     def test_line_has_no_vertices(self):
         assert len(find_vertices(straight_path())) == 0

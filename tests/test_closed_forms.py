@@ -195,15 +195,17 @@ def mp_geodesic(a, s, dps=40):
 class TestExactGeodesic:
     S = np.linspace(-5.0, 25.0, 21) + 0.0137
 
-    @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.3, 3 - 2 * math.sqrt(2), 0.999,
-                                   1 - 1e-6, 1 + 1e-6, 1.001,
-                                   3 + 2 * math.sqrt(2), 4.0])
+    @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.3, 3 - 2 * math.sqrt(2), 0.5,
+                                   0.999, 1 - 1e-6, math.nextafter(1.0, 0.0),
+                                   math.nextafter(1.0, 2.0), 1 + 1e-6, 1.001,
+                                   2.0, 3 + 2 * math.sqrt(2), 4.0])
     def test_matches_mpmath(self, a):
         # near a = 0 the 1/a forms cancel, near a = 1 the parameter
         # m = 1 - 2.5e-13 loses its complement to rounding; both sides of
-        # the m = 1/2 switch (a = 3 -+ 2 sqrt 2) are covered
+        # the m = 1/2 switch (a = 3 -+ 2 sqrt 2) are covered, and a = 1 -+ 1
+        # ulp has the largest K, so the lattice's exponents are largest
         got = np.stack(geodesic(a, self.S), axis=1)
-        assert np.max(np.abs(got - mp_geodesic(a, self.S))) <= 1e-13
+        assert np.max(np.abs(got - mp_geodesic(a, self.S, dps=50))) <= 1e-13
 
     def test_vertex_pose(self):
         for a in (0.0, 1e-6, 0.5, 1.0, 1 + 1e-6, 3.0):
@@ -240,6 +242,22 @@ class TestExactGeodesic:
             assert np.max(np.abs(turns - np.rint(turns))) * T <= 1e-9
 
     def test_rejects_invalid_momentum(self):
-        for a in (-0.5, math.nan, math.inf):
+        for a in (-0.5, -3.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 geodesic(a, [0.0, 1.0])
+            with pytest.raises(ValueError):
+                geodesic_phase(a, 0.5, 1.0)
+
+    @pytest.mark.parametrize("a", [0.0, 0.05, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_arc_length(self, a, bad):
+        with pytest.raises(ValueError):
+            geodesic(a, [0.0, bad, 1.0])
+        with pytest.raises(ValueError):
+            geodesic(a, bad)
+
+    def test_phase_rejects_invalid_state(self):
+        for theta, kappa in ((math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan),
+                             (0.5, math.inf), (0.5, 0.0), (0.5, -1.0)):
+            with pytest.raises(ValueError):
+                geodesic_phase(0.5, theta, kappa)
