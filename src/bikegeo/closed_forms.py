@@ -31,6 +31,12 @@ from .errors import NoPeriodError
 
 # beyond this argument sech underflows double precision anyway
 _SECH_CLAMP = 700.0
+# largest phase |u| = (1+a) |s| / 2 that geodesic accepts, for every
+# momentum: below it the rounding of u (at most 2^-21, half a unit in
+# the last place of 2^32) and of the reduction u - 2jK keep the reduced
+# phase within about 2^-20 ~ 1e-6; past it the phase loses a digit per
+# decade of s, and by |u| ~ 1e15 all of them
+MAX_PHASE = 2.0**32
 
 
 def _momentum(a):
@@ -251,11 +257,18 @@ def geodesic(a, s):
     (see :func:`elliptic_period_advance`), and theta by 2 pi per period
     for a < 1, so theta is continuous and depends on each s alone.  The
     circle (a = 0) and the soliton (a = 1) are evaluated directly.
+
+    Every |u| must be at most MAX_PHASE = 2^32, for every momentum;
+    rounding then moves the reduced phase by about 2^-20 ~ 1e-6 at most.
+    A non-finite s, or one past the bound, raises ValueError.
     """
     a = _momentum(a)
     s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("arc lengths s must be finite")
+    # one read of s rejects nan, inf and phases past the bound
+    s_max = MAX_PHASE / (0.5 * (1.0 + a))
+    if not np.all(np.abs(s) <= s_max):
+        raise ValueError(f"arc lengths s must be finite with (1+a)|s|/2 <= "
+                         f"{MAX_PHASE:.0f}, i.e. |s| <= {s_max:.6g} at a = {a}")
     if a == 0.0:
         return (-np.sin(s), -2.0 * np.sin(0.5 * s) ** 2, 0.5 * math.pi + s,
                 np.ones_like(s))

@@ -24,11 +24,16 @@ The horizontal lift ell * theta' = cos(theta) * y' - sin(theta) * x' is
 a Riccati equation, linear on v = (sin(theta/2), cos(theta/2)):
 v' = A v with A = [[-x', y'], [y', x']] / (2 ell).  One RK4 step of it
 is a 2x2 matrix, acting on the fiber circle as a Moebius map, and the
-lift to every sample is the running product of these matrices.  The
-matrices are held as four entry arrays, multiplied entrywise, and the
-product is built by log-depth doubling.  Each fiber angle then reads
-its half angle psi = atan2 of the transported v, which is continuous,
-so it is unwrapped by exact multiples of 2 pi.
+lift to every sample is the running product of these matrices.  A is
+traceless, so A^2 = -det(A) I, and the four RK4 stages collapse into a
+closed form in the generator at the step's two ends and its middle.
+The matrices are held as four entry arrays, multiplied entrywise, and
+the product is built by log-depth doubling.  A sample's angles are
+finite exactly when its product is, so the product is checked once,
+before any angle is read.  Each fiber angle then reads its half angle
+psi = atan2 of the transported v into a preallocated row; psi is
+continuous, so where it jumps by more than pi it is unwrapped by exact
+multiples of 2 pi.
 """
 
 import math
@@ -364,14 +369,18 @@ class FrontTrackSpec:
 
 
 def _lift_generator(d, ell):
-    """Generator A = [[-x', y'], [y', x']] / (2 ell), shape (..., 2, 2)."""
-    a = np.stack([-d[..., 0], d[..., 1], d[..., 1], d[..., 0]], axis=-1)
-    return a.reshape(d.shape[:-1] + (2, 2)) / (2.0 * ell)
+    """Generator A = [[-x', y'], [y', x']] / (2 ell), shape (..., 2, 2).
+
+    The entries are stored entry-major, so :func:`_entry_rows` reads
+    them as four contiguous arrays without a copy.
+    """
+    dx, dy = d[..., 0] / (2.0 * ell), d[..., 1] / (2.0 * ell)
+    return np.moveaxis(np.array([[-dx, dy], [dy, dx]]), (0, 1), (-2, -1))
 
 
-def _entries(m):
-    """Entries (m00, m01, m10, m11) of a (..., 2, 2) stack of matrices."""
-    return m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+def _entry_rows(m):
+    """Entries of a (..., 2, 2) stack as rows (m00, m01, m10, m11)."""
+    return np.moveaxis(m, (-2, -1), (0, 1)).reshape(4, -1)
 
 
 def _mat_mul(a, b):
@@ -382,11 +391,6 @@ def _mat_mul(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _eye_plus(c, m):
-    """Entries of I + c m."""
-    return 1.0 + c * m[0], c * m[1], c * m[2], 1.0 + c * m[3]
-
-
 def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     """Integrate the no-skid constraint along a prescribed front track.
 
@@ -395,8 +399,14 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     shape (n_samples,) + shape(theta0); theta is continuous, not wrapped.
 
     The lift solves ell * theta' = cos(theta) * y' - sin(theta) * x',
-    which is the no-skid condition for any parametrization.  A
-    non-finite theta0 raises ValueError before the track is evaluated.
+    which is the no-skid condition for any parametrization, by RK4 on
+    the half-angle vector.  Each RK4 step map is built in closed form
+    from the generator at the step's ends and middle, and the running
+    product of the maps by log-depth doubling.  A sample's angles are
+    finite exactly when its product is, so the product is checked once,
+    before any angle is read: the first non-finite sample raises
+    DivergenceError with its time.  A non-finite theta0 raises
+    ValueError before the track is evaluated.
     """
     ell = _ell_value(ell)
     theta0 = np.asarray(theta0, dtype=float)
@@ -410,36 +420,62 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     speeds = np.hypot(d_grid[:, 0], d_grid[:, 1])
     if np.min(speeds) < 1e-9 * max(1.0, float(np.max(speeds))):
         raise ImmersionError("front track has (near-)vanishing velocity")
-    a = _lift_generator(d_grid, ell)
-    a0, a1 = _entries(a[:-1]), _entries(a[1:])
-    ah = _entries(_lift_generator(d_half, ell))
-    k2 = _mat_mul(ah, _eye_plus(0.5 * h, a0))
-    k3 = _mat_mul(ah, _eye_plus(0.5 * h, k2))
-    k4 = _mat_mul(a1, _eye_plus(h, k3))
+    a = _entry_rows(_lift_generator(d_grid, ell))
+    a0, a1 = a[:, :-1], a[:, 1:]
+    ah = _entry_rows(_lift_generator(d_half, ell))
+    # The generator is traceless, so Ah^2 = r2 I with r2 = -det(Ah), and
+    # the RK4 stages k2 = Ah (I + h/2 A0), k3 = Ah (I + h/2 k2) and
+    # k4 = A1 (I + h k3) collapse into the step map
+    #   M = I + h/6 [(A0 + A1)(1 + h^2 r2 / 2) + 4 Ah + h r2 I
+    #                + h (Ah A0 + A1 Ah) + h^3 r2 / 4 A1 A0],
+    # whose last two terms are h (Ah A0 + A1 (Ah + w A0)), w = h^2 r2 / 4
+    r2 = ah[1] * ah[2] - ah[0] * ah[3]
+    w = (0.25 * h * h) * r2
+    f = (h / 6.0) * (1.0 + 2.0 * w)
+    hh6 = h * h / 6.0
+    p = _mat_mul(ah, a0)
+    q = _mat_mul(a1, [x + w * y for x, y in zip(ah, a0)])
     # maps[:, i] = entries of M[i-1]...M[0] (M[i]: RK4 step map) by
     # doubling; rescaling each new product to a largest |entry| of 1
     # stops overflow and moves no angle
     maps = np.empty((4, n + 1))
     maps[:, 0] = (1.0, 0.0, 0.0, 1.0)
-    maps[:, 1:] = _eye_plus(h / 6.0, [p + 2.0 * q + 2.0 * r + s
-                                      for p, q, r, s in zip(a0, k2, k3, k4)])
+    for i, entry in enumerate(maps[:, 1:]):
+        np.multiply(np.add(a0[i], a1[i], out=entry), f, out=entry)
+        entry += (4.0 * h / 6.0) * ah[i]
+        entry += hh6 * (p[i] + q[i])
+        if i in (0, 3):
+            entry += hh6 * r2
+            entry += 1.0
     for k in (1 << r for r in range(n.bit_length())):
         prod = np.array(_mat_mul(maps[:, k:], maps[:, :-k]))
         np.divide(prod, np.abs(prod).max(axis=0), out=maps[:, k:])
-    m00, m01, m10, m11 = maps
-    # one row per fiber angle, returned transposed; the half angle psi
-    # of M v is continuous, so it is unwrapped by whole turns
-    rows = np.empty((theta0.size, n + 1))
-    for row, th0 in zip(rows, theta0.ravel().tolist()):
-        s, c = math.sin(0.5 * th0), math.cos(0.5 * th0)
-        psi = np.arctan2(m00 * s + m01 * c, m10 * s + m11 * c)
-        turns = np.cumsum(np.rint(np.diff(psi) / (2.0 * math.pi)))
-        psi[1:] -= 2.0 * math.pi * turns
-        row[:] = th0 + 2.0 * (psi - psi[0])
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=0))
+    bad = np.flatnonzero(~np.isfinite(maps).all(axis=0))
     if bad.size:
         raise DivergenceError(f"non-finite frame angle at t = {t[bad[0]]}",
                               t=float(t[bad[0]]))
+    m00, m01, m10, m11 = maps
+    # one row per fiber angle, returned transposed.  The half angle psi
+    # of M v is continuous, so where it jumps by more than pi it is
+    # unwrapped by whole turns.
+    rows = np.empty((theta0.size, n + 1))
+    num, den, tmp = np.empty((3, n + 1))
+    for psi, th0 in zip(rows, theta0.ravel().tolist()):
+        s, c = math.sin(0.5 * th0), math.cos(0.5 * th0)
+        np.add(np.multiply(m00, s, out=num), np.multiply(m01, c, out=tmp), out=num)
+        np.add(np.multiply(m10, s, out=den), np.multiply(m11, c, out=tmp), out=den)
+        np.arctan2(num, den, out=psi)
+        dpsi = np.subtract(psi[1:], psi[:-1], out=tmp[1:])
+        jumps = np.flatnonzero(np.abs(dpsi, out=num[1:]) > math.pi)
+        if jumps.size:
+            turns = np.cumsum(np.rint(dpsi[jumps] / (2.0 * math.pi))).tolist()
+            starts = (jumps + 1).tolist()
+            for lo, hi, k in zip(starts, starts[1:] + [n + 1], turns):
+                psi[lo:hi] -= 2.0 * math.pi * k
+        # theta = th0 + 2 (psi - psi[0]), so that theta[0] == th0
+        psi -= psi[0]
+        psi *= 2.0
+        psi += th0
     return t, rows.T.reshape((n + 1,) + theta0.shape)
 
 

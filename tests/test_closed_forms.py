@@ -249,7 +249,7 @@ class TestExactGeodesic:
                 geodesic_phase(a, 0.5, 1.0)
 
     @pytest.mark.parametrize("a", [0.0, 0.05, 0.5, 1.0, 2.0])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e17, -1e300])
     def test_rejects_non_finite_arc_length(self, a, bad):
         with pytest.raises(ValueError):
             geodesic(a, [0.0, bad, 1.0])

@@ -387,6 +387,13 @@ def circle_lift_theta(s, theta0, radius, ell):
     return s / radius + 2.0 * np.arctan(k * np.tanh(omega * s + c))
 
 
+def _spline_track():
+    rng = np.random.default_rng(11)
+    pts = np.cumsum(rng.normal(0.0, 1.0, size=(8, 2)), axis=0)
+    return FrontTrackSpec.from_spline(
+        CubicSpline(np.linspace(0.0, 1.0, 8), pts, axis=0), 0.0, 1.0)
+
+
 class TestLiftFrameAngles:
     @pytest.mark.parametrize("radius, ell", [(2.0, 1.0), (3.0, 1.3), (5.0, 0.7)])
     def test_circle_matches_riccati_closed_form(self, radius, ell):
@@ -404,28 +411,40 @@ class TestLiftFrameAngles:
         t, theta = lift_frame_angles(track, 0.3, 1.0, 1e-2)
         assert np.max(np.abs(theta - circle_lift_theta(t, 0.3, 2.0, 1.0))) <= 1e-8
 
-    def test_single_angle_is_its_fiber_column(self):
-        rng = np.random.default_rng(11)
-        pts = np.cumsum(rng.normal(0.0, 1.0, size=(8, 2)), axis=0)
-        track = FrontTrackSpec.from_spline(
-            CubicSpline(np.linspace(0.0, 1.0, 8), pts, axis=0), 0.0, 1.0)
-        thetas = np.linspace(-math.pi, math.pi, 64, endpoint=False) + 0.01
-        _t, fiber = lift_frame_angles(track, thetas, 1.0, 1.25e-4)
-        for j in (0, 17, 63):
-            _t, single = lift_frame_angles(track, thetas[j], 1.0, 1.25e-4)
+    # the line and the circle contract the fiber to roundoff, and on the
+    # circle every row also wraps many times
+    @pytest.mark.parametrize("track, step, width", [
+        (_spline_track(), 1.25e-4, 64),
+        (FrontTrackSpec.line(0.0, 40.0), 1e-2, 64),
+        (FrontTrackSpec.circle(2.0, 0.0, 2000.0), 1e-2, 8),
+    ], ids=["spline", "line_40", "circle_2000"])
+    def test_single_angle_is_its_fiber_column(self, track, step, width):
+        thetas = np.linspace(-math.pi, math.pi, width, endpoint=False) + 0.01
+        _t, fiber = lift_frame_angles(track, thetas, 1.0, step)
+        assert np.max(np.abs(np.diff(fiber, axis=0))) <= 0.5 * math.pi
+        for j, theta0 in enumerate(thetas.tolist()):
+            _t, single = lift_frame_angles(track, theta0, 1.0, step)
             assert np.array_equal(single, fiber[:, j])
 
-    def test_nan_derivative_reports_time(self):
+    # the NaN starts at an interior sample (t = 0.5, sample 50) or at the
+    # first half step (t = 0.005), which spoils the first step map; the
+    # error names the first non-finite sample
+    @pytest.mark.parametrize("nan_from, bad_sample", [(0.5, 50), (0.005, 1)],
+                             ids=["interior_sample", "first_half_step"])
+    @pytest.mark.parametrize("theta0", [
+        0.1, np.linspace(-math.pi, math.pi, 64, endpoint=False)],
+        ids=["scalar", "fiber_64"])
+    def test_nan_derivative_reports_time(self, theta0, nan_from, bad_sample):
         def derivative(t):
             t = np.asarray(t, dtype=float)
-            ones = np.where(t < 0.5, 1.0, np.nan)
+            ones = np.where(t < nan_from, 1.0, np.nan)
             return np.stack([ones, np.zeros_like(t)], axis=-1)
 
         track = FrontTrackSpec(lambda t: np.zeros(np.shape(t) + (2,)),
                                derivative, 0.0, 1.0)
         with pytest.raises(DivergenceError) as err:
-            lift_frame_angles(track, [0.1, 0.4], 1.0, 1e-2)
-        assert err.value.t == pytest.approx(0.5)
+            lift_frame_angles(track, theta0, 1.0, 1e-2)
+        assert err.value.t == bad_sample * 1e-2
 
 
 @pytest.mark.parametrize("build", [
