@@ -287,11 +287,15 @@ def horizontality_residuals(path):
     check exact (to rounding) across tangent corners of the front track.
     Returns the absolute residual at interior samples.
     """
+    return _no_skid_residuals(path, np.cos(path.theta), np.sin(path.theta))
+
+
+def _no_skid_residuals(path, c, s):
+    """:func:`horizontality_residuals` from c, s = cos, sin of path.theta."""
     if len(path) < 3:
         raise DegenerateInputError("need at least 3 samples for residuals")
     dxy = np.gradient(path.front, path.t, axis=0)
     dth = np.gradient(path.theta, path.t)
-    c, s = np.cos(path.theta), np.sin(path.theta)
     res = path.ell * dth - c * dxy[:, 1] + s * dxy[:, 0]
     return np.abs(res[1:-1])
 
@@ -350,14 +354,15 @@ def flip_path(path, validate=True):
     twice the input residual (plus the finite-difference floor).
     """
     ell = path.ell
-    v = np.stack([np.cos(path.theta), np.sin(path.theta)], axis=1)
+    c, s = np.cos(path.theta), np.sin(path.theta)
+    v = np.stack([c, s], axis=1)
     front = path.front - 2.0 * ell * v
     theta = path.theta + math.pi
     kappa = numdiff.curvature_from_track(front, path.t)
     flipped = SampledBikePath(path.t, front, theta, kappa, ell)
     if validate:
         tol = default_horizontality_tol(path)
-        res_in = horizontality_residuals(path)
+        res_in = _no_skid_residuals(path, c, s)
         worst_in = float(res_in.max()) if res_in.size else 0.0
         if worst_in > tol:
             raise HorizontalityError(

@@ -27,11 +27,13 @@ is a 2x2 matrix, acting on the fiber circle as a Moebius map, and the
 lift to every sample is the running product of these matrices.  A is
 traceless, so A^2 = -det(A) I, and the four RK4 stages collapse into a
 closed form in the generator at the step's two ends and its middle.
-The matrices are held as four entry arrays, multiplied entrywise, and
-the product is built by log-depth doubling.  A sample's angles are
-finite exactly when its product is, so the product is checked once,
-before any angle is read.  Each fiber angle then reads its half angle
-psi = atan2 of the transported v into a preallocated row; psi is
+A step is refused past RK4's real stability bound, where the fiber's
+contracting direction would grow.  The matrices are held as four entry
+arrays, multiplied entrywise, and the running product is built by an
+odd-even prefix scan, about two products per step.  A sample's angles
+are finite exactly when its product is, so the product is checked
+once, before any angle is read.  Each fiber angle then reads its half
+angle psi = atan2 of the transported v into a preallocated row; psi is
 continuous, so where it jumps by more than pi it is unwrapped by exact
 multiples of 2 pi.
 """
@@ -54,6 +56,11 @@ MAX_STEPS = 10**6
 # Largest number of samples times batch width (states or fiber angles)
 # on one grid: four trajectories at the step budget, 128 MB of geodesics.
 _MAX_BATCH_SAMPLES = 4 * MAX_STEPS
+# RK4's growth factor 1 + z + z^2/2 + z^3/6 + z^4/24 on the negative real
+# axis exceeds 1 past z = -RK4_REAL_STABILITY, the real root of
+# x^3 - 4 x^2 + 12 x - 24 = 0; a lift step past it makes the fiber's
+# contracting direction grow.
+RK4_REAL_STABILITY = 2.785293563405282
 
 
 @dataclass(frozen=True)
@@ -371,16 +378,53 @@ class FrontTrackSpec:
 def _lift_generator(d, ell):
     """Generator A = [[-x', y'], [y', x']] / (2 ell), shape (..., 2, 2).
 
-    The entries are stored entry-major, so :func:`_entry_rows` reads
-    them as four contiguous arrays without a copy.
+    The entries are stored entry-major, so :func:`_generator_entries`
+    reads them as contiguous arrays without a copy.
     """
     dx, dy = d[..., 0] / (2.0 * ell), d[..., 1] / (2.0 * ell)
     return np.moveaxis(np.array([[-dx, dy], [dy, dx]]), (0, 1), (-2, -1))
 
 
-def _entry_rows(m):
-    """Entries of a (..., 2, 2) stack as rows (m00, m01, m10, m11)."""
-    return np.moveaxis(m, (-2, -1), (0, 1)).reshape(4, -1)
+def _generator_entries(d, ell):
+    """The generator's two distinct entries: A = [[-X, Y], [Y, X]]."""
+    a = np.moveaxis(_lift_generator(d, ell), (-2, -1), (0, 1))
+    return a[1, 1], a[0, 1]
+
+
+def _step_maps(d_grid, d_half, h, ell):
+    """Entries (m00, m01, m10, m11) of the RK4 step maps as a (4, n + 1)
+    array: column 0 is the identity, column i + 1 the map from sample i
+    to sample i + 1.
+
+    The generator is traceless, so Ah^2 = r2 I with r2 = -det(Ah), and
+    the RK4 stages k2 = Ah (I + h/2 A0), k3 = Ah (I + h/2 k2) and
+    k4 = A1 (I + h k3) collapse into the step map
+      M = I + h/6 [(A0 + A1)(1 + 2 w) + 4 Ah + h r2 I
+                   + h (Ah A0 + A1 (Ah + w A0))],   w = h^2 r2 / 4.
+    A product of two generators [[-X, Y], [Y, X]] is [[P, Q], [-Q, P]],
+    so M = [[a - xs, ys + b], [ys - b, a + xs]] with a, b from the
+    products and xs, ys from the sum of generators.
+    """
+    x, y = _generator_entries(d_grid, ell)
+    x0, x1, y0, y1 = x[:-1], x[1:], y[:-1], y[1:]
+    xh, yh = _generator_entries(d_half, ell)
+    r2 = xh * xh + yh * yh
+    w = (0.25 * h * h) * r2
+    # Ah + w A0, the right factor of A1 (Ah + w A0)
+    xb, yb = xh + w * x0, yh + w * y0
+    hh6 = h * h / 6.0
+    a = 1.0 + hh6 * (r2 + xh * x0 + yh * y0 + x1 * xb + y1 * yb)
+    b = hh6 * (yh * x0 - xh * y0 + y1 * xb - x1 * yb)
+    f = (h / 6.0) * (1.0 + 2.0 * w)
+    xs = f * (x0 + x1) + (4.0 * h / 6.0) * xh
+    ys = f * (y0 + y1) + (4.0 * h / 6.0) * yh
+    maps = np.empty((4, x.size))
+    maps[:, 0] = (1.0, 0.0, 0.0, 1.0)
+    np.subtract(a, xs, out=maps[0, 1:])
+    np.add(ys, b, out=maps[1, 1:])
+    np.subtract(ys, b, out=maps[2, 1:])
+    np.add(a, xs, out=maps[3, 1:])
+    return maps
 
 
 def _mat_mul(a, b):
@@ -389,6 +433,29 @@ def _mat_mul(a, b):
     b00, b01, b10, b11 = b
     return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _rescaled_product(a, b, out=None):
+    """Elementwise product a b, each column divided by its largest
+    |entry|; this stops overflow and moves no angle."""
+    prod = np.array(_mat_mul(a, b))
+    return np.divide(prod, np.abs(prod).max(axis=0), out=out)
+
+
+def _running_product(m):
+    """Turn the columns m[0], m[1], ... of a (4, k) entry array, in place,
+    into the running products m[j] ... m[0] by an odd-even scan: about
+    2k products in log2(k) levels.
+
+    Neighbouring columns are multiplied in pairs, the pair products'
+    running products (the odd columns) come from the same scan, and
+    each even column then takes one product.  Every new column is
+    rescaled to a largest |entry| of 1.
+    """
+    if m.shape[1] > 1:
+        m[:, 1::2] = _running_product(_rescaled_product(m[:, 1::2], m[:, :-1:2]))
+        _rescaled_product(m[:, 2::2], m[:, 1:-1:2], out=m[:, 2::2])
+    return m
 
 
 def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
@@ -402,11 +469,14 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     which is the no-skid condition for any parametrization, by RK4 on
     the half-angle vector.  Each RK4 step map is built in closed form
     from the generator at the step's ends and middle, and the running
-    product of the maps by log-depth doubling.  A sample's angles are
+    product of the maps by an odd-even scan.  A sample's angles are
     finite exactly when its product is, so the product is checked once,
     before any angle is read: the first non-finite sample raises
     DivergenceError with its time.  A non-finite theta0 raises
-    ValueError before the track is evaluated.
+    ValueError before the track is evaluated, and so does a step past
+    RK4's real stability bound, step * max|track'| / (2 ell) > 2.785...,
+    where the contracting direction of the fiber would grow instead of
+    decay.
     """
     ell = _ell_value(ell)
     theta0 = np.asarray(theta0, dtype=float)
@@ -418,38 +488,16 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     d_half = np.asarray(track.derivative(t[:-1] + 0.5 * h),
                         dtype=float).reshape(n, 2)
     speeds = np.hypot(d_grid[:, 0], d_grid[:, 1])
-    if np.min(speeds) < 1e-9 * max(1.0, float(np.max(speeds))):
+    top = float(np.max(speeds))
+    if np.min(speeds) < 1e-9 * max(1.0, top):
         raise ImmersionError("front track has (near-)vanishing velocity")
-    a = _entry_rows(_lift_generator(d_grid, ell))
-    a0, a1 = a[:, :-1], a[:, 1:]
-    ah = _entry_rows(_lift_generator(d_half, ell))
-    # The generator is traceless, so Ah^2 = r2 I with r2 = -det(Ah), and
-    # the RK4 stages k2 = Ah (I + h/2 A0), k3 = Ah (I + h/2 k2) and
-    # k4 = A1 (I + h k3) collapse into the step map
-    #   M = I + h/6 [(A0 + A1)(1 + h^2 r2 / 2) + 4 Ah + h r2 I
-    #                + h (Ah A0 + A1 Ah) + h^3 r2 / 4 A1 A0],
-    # whose last two terms are h (Ah A0 + A1 (Ah + w A0)), w = h^2 r2 / 4
-    r2 = ah[1] * ah[2] - ah[0] * ah[3]
-    w = (0.25 * h * h) * r2
-    f = (h / 6.0) * (1.0 + 2.0 * w)
-    hh6 = h * h / 6.0
-    p = _mat_mul(ah, a0)
-    q = _mat_mul(a1, [x + w * y for x, y in zip(ah, a0)])
-    # maps[:, i] = entries of M[i-1]...M[0] (M[i]: RK4 step map) by
-    # doubling; rescaling each new product to a largest |entry| of 1
-    # stops overflow and moves no angle
-    maps = np.empty((4, n + 1))
-    maps[:, 0] = (1.0, 0.0, 0.0, 1.0)
-    for i, entry in enumerate(maps[:, 1:]):
-        np.multiply(np.add(a0[i], a1[i], out=entry), f, out=entry)
-        entry += (4.0 * h / 6.0) * ah[i]
-        entry += hh6 * (p[i] + q[i])
-        if i in (0, 3):
-            entry += hh6 * r2
-            entry += 1.0
-    for k in (1 << r for r in range(n.bit_length())):
-        prod = np.array(_mat_mul(maps[:, k:], maps[:, :-k]))
-        np.divide(prod, np.abs(prod).max(axis=0), out=maps[:, k:])
+    x = h * top / (2.0 * ell)
+    if x > RK4_REAL_STABILITY:
+        raise ValueError(f"step * max speed / (2 ell) = {x:.6g} is past RK4's "
+                         f"stability bound {RK4_REAL_STABILITY} for the lift")
+    # maps[:, i] = entries of M[i-1]...M[0] (M[i]: RK4 step map)
+    maps = _step_maps(d_grid, d_half, h, ell)
+    _running_product(maps[:, 1:])
     bad = np.flatnonzero(~np.isfinite(maps).all(axis=0))
     if bad.size:
         raise DivergenceError(f"non-finite frame angle at t = {t[bad[0]]}",
@@ -457,13 +505,21 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     m00, m01, m10, m11 = maps
     # one row per fiber angle, returned transposed.  The half angle psi
     # of M v is continuous, so where it jumps by more than pi it is
-    # unwrapped by whole turns.
+    # unwrapped by whole turns.  v = (sin, cos)(th0 / 2) is divided by
+    # its larger entry, which shifts psi by 0 or pi; the shift cancels
+    # in theta = th0 + 2 (psi - psi[0]).
     rows = np.empty((theta0.size, n + 1))
     num, den, tmp = np.empty((3, n + 1))
     for psi, th0 in zip(rows, theta0.ravel().tolist()):
         s, c = math.sin(0.5 * th0), math.cos(0.5 * th0)
-        np.add(np.multiply(m00, s, out=num), np.multiply(m01, c, out=tmp), out=num)
-        np.add(np.multiply(m10, s, out=den), np.multiply(m11, c, out=tmp), out=den)
+        if abs(c) >= abs(s):
+            u = s / c
+            np.add(np.multiply(m00, u, out=num), m01, out=num)
+            np.add(np.multiply(m10, u, out=den), m11, out=den)
+        else:
+            u = c / s
+            np.add(np.multiply(m01, u, out=num), m00, out=num)
+            np.add(np.multiply(m11, u, out=den), m10, out=den)
         np.arctan2(num, den, out=psi)
         dpsi = np.subtract(psi[1:], psi[:-1], out=tmp[1:])
         jumps = np.flatnonzero(np.abs(dpsi, out=num[1:]) > math.pi)
@@ -472,10 +528,11 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
             starts = (jumps + 1).tolist()
             for lo, hi, k in zip(starts, starts[1:] + [n + 1], turns):
                 psi[lo:hi] -= 2.0 * math.pi * k
-        # theta = th0 + 2 (psi - psi[0]), so that theta[0] == th0
-        psi -= psi[0]
+        # theta = 2 psi + (th0 - 2 psi[0]), with theta[0] == th0 exactly
+        shift = th0 - 2.0 * float(psi[0])
         psi *= 2.0
-        psi += th0
+        psi += shift
+        psi[0] = th0
     return t, rows.T.reshape((n + 1,) + theta0.shape)
 
 

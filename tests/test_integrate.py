@@ -17,8 +17,10 @@ from bikegeo.core import SampledBikePath, act, dilate_path
 from bikegeo.errors import (DivergenceError, ImmersionError,
                             NotUnitSpeedError)
 from bikegeo.holonomy import TransportSample, correspondent, fit_mobius
-from bikegeo.integrate import (CotangentState, FrontTrackSpec, ReducedState,
-                               _full_hamiltonian, _grid,
+from bikegeo.integrate import (RK4_REAL_STABILITY, CotangentState,
+                               FrontTrackSpec, ReducedState,
+                               _full_hamiltonian, _grid, _lift_generator,
+                               _step_maps,
                                canonical_vertex_state, canonicalize,
                                hamiltonian_rhs, horizontal_lift,
                                integrate_geodesic, integrate_geodesics,
@@ -394,6 +396,37 @@ def _spline_track():
         CubicSpline(np.linspace(0.0, 1.0, 8), pts, axis=0), 0.0, 1.0)
 
 
+def _track_derivatives(track, step):
+    """The track's derivative on the lift's grid and half grid, and the
+    step size."""
+    n, h = _grid(track.t1 - track.t0, step)
+    t = track.t0 + np.arange(n + 1) * h
+    d_grid = np.asarray(track.derivative(t), dtype=float).reshape(n + 1, 2)
+    d_half = np.asarray(track.derivative(t[:-1] + 0.5 * h),
+                        dtype=float).reshape(n, 2)
+    return d_grid, d_half, h
+
+
+def _sequential_lift(track, thetas, ell, step):
+    """Frame angles from the running product of the step maps taken one
+    step at a time on Python floats, each product rescaled to a largest
+    |entry| of 1: the reference for the lift's odd-even scan."""
+    maps = _step_maps(*_track_derivatives(track, step), ell)
+    p = (1.0, 0.0, 0.0, 1.0)
+    prods = [p]
+    for m00, m01, m10, m11 in maps[:, 1:].T.tolist():
+        a, b, c, d = p
+        p = (m00 * a + m01 * c, m00 * b + m01 * d,
+             m10 * a + m11 * c, m10 * b + m11 * d)
+        top = max(abs(x) for x in p)
+        p = tuple(x / top for x in p)
+        prods.append(p)
+    m00, m01, m10, m11 = (np.array(prods).T)[:, :, None]
+    s, c = np.sin(0.5 * thetas), np.cos(0.5 * thetas)
+    psi = np.unwrap(np.arctan2(m00 * s + m01 * c, m10 * s + m11 * c), axis=0)
+    return thetas + 2.0 * (psi - psi[0])
+
+
 class TestLiftFrameAngles:
     @pytest.mark.parametrize("radius, ell", [(2.0, 1.0), (3.0, 1.3), (5.0, 0.7)])
     def test_circle_matches_riccati_closed_form(self, radius, ell):
@@ -425,6 +458,61 @@ class TestLiftFrameAngles:
         for j, theta0 in enumerate(thetas.tolist()):
             _t, single = lift_frame_angles(track, theta0, 1.0, step)
             assert np.array_equal(single, fiber[:, j])
+
+    # every step count up to 64 meets each odd-even split of the scan;
+    # the angles near +-pi read v = (sin, cos)(theta0 / 2) by its sine.
+    # ell = 5 keeps a single step of the spline (speed up to 22) inside
+    # RK4's stability bound
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_scan_matches_sequential_product(self, n):
+        thetas = np.linspace(-math.pi, math.pi, 8, endpoint=False) + 0.01
+        track = _spline_track()
+        _t, theta = lift_frame_angles(track, thetas, 5.0, 1.0 / n)
+        assert theta.shape == (n + 1, 8)
+        ref = _sequential_lift(track, thetas, 5.0, 1.0 / n)
+        assert np.max(np.abs(theta - ref)) <= 1e-13
+
+    def test_long_ride_scan_matches_sequential_product(self):
+        thetas = np.array([-3.1, -0.4, 0.3, 2.9])
+        track = FrontTrackSpec.circle(2.0, 0.0, 2000.0)
+        _t, theta = lift_frame_angles(track, thetas, 1.0, 1e-2)
+        ref = _sequential_lift(track, thetas, 1.0, 1e-2)
+        assert np.max(np.abs(theta - ref)) <= 1e-11
+
+    def test_step_map_is_the_rk4_step(self):
+        # the closed-form step map against the four RK4 stages of
+        # v' = A v, on steps where h |A| reaches about 1
+        ell, step = 0.5, 0.05
+        d_grid, d_half, h = _track_derivatives(_spline_track(), step)
+        a = _lift_generator(d_grid, ell)
+        a0, a1, ah = a[:-1], a[1:], _lift_generator(d_half, ell)
+        eye = np.eye(2)
+        k1 = a0
+        k2 = ah @ (eye + 0.5 * h * k1)
+        k3 = ah @ (eye + 0.5 * h * k2)
+        k4 = a1 @ (eye + h * k3)
+        rk4 = eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        maps = _step_maps(d_grid, d_half, h, ell)
+        assert np.array_equal(maps[:, 0], [1.0, 0.0, 0.0, 1.0])
+        assert np.max(np.abs(maps[:, 1:].T - rk4.reshape(-1, 4))) <= 1e-15
+
+    # h max|track'| / (2 ell) past the bound makes RK4 grow the fiber's
+    # contracting direction: unrefused, the line lift at ell = 1e-6 and
+    # step 1e-3 ends 2.49 rad off the exact one
+    @pytest.mark.parametrize("x", [RK4_REAL_STABILITY * (1.0 + 1e-12), 5.0, 500.0])
+    def test_step_past_rk4_stability_refused(self, x):
+        step = 1e-2
+        with pytest.raises(ValueError, match="stability"):
+            lift_frame_angles(FrontTrackSpec.line(0.0, 1.0), 2.5, step / (2.0 * x), step)
+
+    def test_step_inside_rk4_stability_contracts(self):
+        # just inside the bound the lift still falls onto theta = 0, as
+        # the exact line lift tan(theta/2) = tan(theta0/2) e^(-t/ell) does
+        step = 1e-2
+        _t, theta = lift_frame_angles(FrontTrackSpec.line(0.0, 1.0), 2.5,
+                                      step / (2.0 * 2.78), step)
+        assert theta[0] == 2.5 and np.all(np.diff(theta) <= 0.0)
+        assert 0.0 <= theta[-1] <= 1e-12
 
     # the NaN starts at an interior sample (t = 0.5, sample 50) or at the
     # first half step (t = 0.005), which spoils the first step map; the

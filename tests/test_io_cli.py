@@ -132,6 +132,8 @@ class TestCli:
         ["classify", "--a", "nan", "--kappa0", "1"],
         ["classify", "--a", "0.5", "--kappa0", "inf"],
         ["lift", "--t0", "nan"],
+        ["lift", "--ell", "1e-6", "--theta0", "2.5"],
+        ["lift", "--ell", "1e-3", "--step", "1e-2", "--theta0", "2.5"],
         ["correspond", "--radius", "inf"],
         ["correspond", "--radius", "0"],
         ["shortcut", "--a", "-0.5"],
