@@ -57,6 +57,8 @@ class ElasticaParams:
     def from_momentum(cls, a):
         """Energy-form coefficients of the geodesic with momentum a."""
         a = float(a)
+        if not math.isfinite(a):
+            raise ValueError(f"momentum parameter a = {a!r} must be finite")
         if a < 0:
             raise ValueError("momentum parameter a must be >= 0")
         A = -(a * a + 1.0) / 2.0
@@ -87,10 +89,10 @@ def classify(a, kappa0, tol=CLASS_TOL):
     curvature; otherwise the track is a non-inflectional elastica,
     wide for a < 1 and narrow for a > 1.
     """
-    a = float(a)
-    if a < 0:
-        raise ValueError("momentum parameter a must be >= 0")
     params = ElasticaParams.from_momentum(a)
+    a, kappa0 = params.a, float(kappa0)
+    if not math.isfinite(kappa0):
+        raise ValueError(f"initial curvature kappa0 = {kappa0!r} must be finite")
     if a <= tol:
         return ElasticaClass(CIRCLE, params)
     if abs(kappa0) <= tol:

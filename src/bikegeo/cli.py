@@ -3,10 +3,11 @@
 Subcommands: geodesic, lift, flip, correspond, classify, shortcut,
 verify, plot.  CSV output follows the t,fx,fy,bx,by,theta,kappa schema
 and is byte-deterministic; SVG output reproduces the standard figure
-layouts.  Exit codes: 0 success, 1 usage error, 2 verification failure,
-3 numerical divergence.  Errors are reported as a single JSON line on
-stderr.  The BIKEGEO_OUTPUT_DIR environment variable sets the default
-output directory.
+layouts.  Exit codes: 0 success, 1 usage error (so is a geodesic past
+the closed form's phase bound), 2 verification failure, 3 numerical
+divergence (lift, correspond and the shortcut's RK4 only).  Errors are
+reported as a single JSON line on stderr.  The BIKEGEO_OUTPUT_DIR
+environment variable sets the default output directory.
 """
 
 import argparse
@@ -86,7 +87,7 @@ def _build_parser():
     p = sub.add_parser("geodesic", help="integrate a unit-speed geodesic")
     p.add_argument("--a", type=float, required=True, help="momentum parameter (>= 0)")
     p.add_argument("--kappa0", type=float, default=None,
-                   help="initial front-track curvature (default 1 + a, a vertex)")
+                   help="initial front-track curvature (default (1+a)/ell, a vertex)")
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--y0", type=float, default=0.0)
     _add_common(p, theta0=True)
@@ -148,16 +149,17 @@ def _validated(args):
 
 
 def _geodesic_state(args):
-    a = args.a
-    kappa0 = args.kappa0 if args.kappa0 is not None else 1.0 + a
+    a, kappa0 = args.a, args.kappa0
+    if kappa0 is None:  # a vertex: kappa = 1 + a in normalized units
+        kappa0 = (1.0 + a) / args.ell
     # scale to normalized units for the admissibility computation
     k = kappa0 * args.ell
     if args.theta0 is not None:
         theta0 = args.theta0
-    elif a == 0.0:
+    elif a == 0.0 or k == 0.0:
         theta0 = 0.0
-    elif k == 0.0:
-        theta0 = 0.0
+    elif args.kappa0 is None:
+        theta0 = 0.5 * math.pi  # the vertex, where sin(theta0) = 1 exactly
     else:
         denom = 2.0 * a * k  # underflows to 0 only far from unit speed
         sin_theta = (k * k + a * a - 1.0) / denom if denom else math.inf
@@ -170,7 +172,7 @@ def _geodesic_state(args):
 
 def _cmd_geodesic(args):
     state = _geodesic_state(args)
-    path = geo.rk4_geodesic(state, args.t_end, args.step, args.ell)
+    path = geo.integrate_geodesic(state, args.t_end, args.step, args.ell)
     return _write_path(path, args, "geodesic")
 
 

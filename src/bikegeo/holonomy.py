@@ -179,6 +179,7 @@ def pressurized_fit(front, t=None, spacing=FIT_SPACING):
     Curvature and its second derivative come from finite differences on
     a grid no finer than ``spacing``; constant-curvature input leaves
     (A, C) underdetermined and the minimum-norm solution is returned.
+    A non-finite front or t, or a t of another length, raises ValueError.
     """
     if isinstance(front, SampledBikePath):
         t = front.t
@@ -186,10 +187,15 @@ def pressurized_fit(front, t=None, spacing=FIT_SPACING):
     front = np.asarray(front, dtype=float)
     if front.ndim != 2 or front.shape[1] != 2:
         raise ValueError("front must be an (n, 2) array")
+    if not np.isfinite(front).all():
+        raise ValueError("front must be finite")
     if t is None:
         chords = np.linalg.norm(np.diff(front, axis=0), axis=1)
         t = np.concatenate([[0.0], np.cumsum(chords)])
     t = np.asarray(t, dtype=float)
+    if t.shape != front.shape[:1] or not np.isfinite(t).all():
+        raise ValueError(f"t must be finite, one value per front sample "
+                         f"({front.shape[0]}), got shape {t.shape}")
     if front.shape[0] < 9:
         raise DegenerateInputError("need at least 9 samples for the fit")
 

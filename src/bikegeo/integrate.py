@@ -16,8 +16,8 @@ canonical vertex geodesic up to a phase, a rotation and a reflection,
 and the flow of a state off the unit shell is the unit-speed flow at
 the speed sqrt(2H).  :func:`rk4_geodesic` integrates the same flow with
 classical fixed-step RK4 on Python floats; it is kept as the
-independent oracle that the checks pin, and the ``geodesic`` command
-and the shortcut use it.  A batch is a list of single geodesics.
+independent oracle that the checks pin, and the shortcut lands it on
+the elliptic period and advance.  A batch is a list of single geodesics.
 Conserved quantities are reported as drift, never projected back.
 
 The horizontal lift ell * theta' = cos(theta) * y' - sin(theta) * x' is
@@ -303,13 +303,14 @@ def integrate_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
 def rk4_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
     """:func:`integrate_geodesic` by fixed-step RK4 of the flow.
 
-    The independent oracle of the closed form: same states, grid,
-    budgets and drift, with the discretization error of RK4 and a
-    DivergenceError where a state goes non-finite.  On the soliton its
-    frame-angle error grows like e^t, because the tail approaches the
-    unstable fixed point theta = pi of the line's lift: at step 1e-3 it
-    is 3.8e-4 at t = 25 while the front is within 1e-6.  Past t ~ 20 on
-    a soliton it is an oracle for positions only.
+    The independent oracle of the closed form, which the checks and
+    the shortcut use: same states, grid, budgets and drift, with the
+    discretization error of RK4 and a DivergenceError where a state
+    goes non-finite.  On the soliton its frame-angle error grows like
+    e^t, because the tail approaches the unstable fixed point theta = pi
+    of the line's lift: at step 1e-3 it is 3.8e-4 at t = 25 while the
+    front is within 1e-6.  Past t ~ 20 on a soliton it is an oracle for
+    positions only.
     """
     return _sample_geodesic(state, t_end, step, ell, _geodesic_rk4)
 

@@ -51,6 +51,8 @@ class ShortcutReport:
 def shortcut_threshold(T, L, ell=1.0):
     """Smallest period count N with pi*ell + N*L < N*T."""
     ell = _ell_value(ell)
+    if not (math.isfinite(T) and math.isfinite(L)):
+        raise ValueError(f"T = {T!r} and L = {L!r} must both be finite")
     if not (0.0 < L < T):
         raise InvalidPeriodError(f"need 0 < L < T, got T={T}, L={L}")
     return math.floor(math.pi * ell / (T - L)) + 1

@@ -21,7 +21,7 @@ from .core import (ConfigPoint, RigidMotion, act, angle_difference,
                    horizontality_residuals, normalize_angles, path_length,
                    to_st_model, from_st_model)
 from . import numdiff
-from .errors import BikeGeoError, DivergenceError
+from .errors import BikeGeoError
 
 WIDE_GRID = (0.3, 0.5, 0.8)
 NARROW_GRID = (1.5, 2.0, 4.0)
@@ -500,48 +500,34 @@ def check_period_advance_exact():
 # ---------------------------------------------------------------------------
 # holonomy
 
-def _rk4(rhs, y0, h, n_steps):
-    """Fixed-step classical RK4 over (..., d) state arrays, the generic
-    stepper behind the theta oracle.
-
-    Returns the trajectory with shape (n_steps + 1, ...) and raises
-    DivergenceError with the offending time if a state goes non-finite.
-    """
-    y = np.array(y0, dtype=float)
-    traj = np.empty((n_steps + 1,) + y.shape)
-    traj[0] = y
-    for i in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(
-                f"non-finite state at t = {(i + 1) * h!r}", t=(i + 1) * h)
-        traj[i + 1] = y
-    return traj
-
-
 def _theta_rk4(track, thetas, step=2e-4):
     """Final frame angles from RK4 on the nonlinear theta equation (ell = 1).
 
     An oracle independent of the lift's 2x2 matrix product, so the fiber
     checks below test the Moebius property of the transport itself (RK4
     on theta keeps it only to the order of the scheme) and the lift
-    against it.  The state rows are (t, theta).
+    against it.  The track's derivative is sampled once on the grid and
+    once on the half grid; each angle is then stepped on Python floats.
     """
     n, h = geo._grid(track.t1 - track.t0, step)
-
-    def rhs(y):
-        d = np.asarray(track.derivative(y[:, 0]), dtype=float)
-        dy = np.ones_like(y)
-        dy[:, 1] = np.cos(y[:, 1]) * d[:, 1] - np.sin(y[:, 1]) * d[:, 0]
-        return dy
-
-    thetas = np.asarray(thetas, dtype=float)
-    y0 = np.stack([np.full_like(thetas, track.t0), thetas], axis=1)
-    return _rk4(rhs, y0, h, n)[-1, :, 1]
+    t = track.t0 + np.arange(n + 1) * h
+    xs, ys = np.asarray(track.derivative(t), dtype=float).T.tolist()
+    xm, ym = np.asarray(track.derivative(t[:-1] + 0.5 * h), dtype=float).T.tolist()
+    sin, cos = math.sin, math.cos
+    hh, h6 = 0.5 * h, h / 6.0
+    out = []
+    for th in np.asarray(thetas, dtype=float).tolist():
+        for x0, y0, x2, y2, x4, y4 in zip(xs, ys, xm, ym, xs[1:], ys[1:]):
+            k1 = cos(th) * y0 - sin(th) * x0
+            s = th + hh * k1
+            k2 = cos(s) * y2 - sin(s) * x2
+            s = th + hh * k2
+            k3 = cos(s) * y2 - sin(s) * x2
+            s = th + h * k3
+            k4 = cos(s) * y4 - sin(s) * x4
+            th = th + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(th)
+    return np.array(out)
 
 
 def _lift_gap(track, thetas, oracle, step=2e-4):

@@ -47,6 +47,11 @@ class TestElasticaParams:
         with pytest.raises(ValueError):
             ElasticaParams(A=1.0, B=-10.0, mu=0.0)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_non_finite_momentum_rejected(self, a):
+        with pytest.raises(ValueError, match=f"a = {a!r} must be finite"):
+            ElasticaParams.from_momentum(a)
+
 
 class TestClassify:
     @pytest.mark.parametrize("a,k0,tag", [
@@ -67,6 +72,13 @@ class TestClassify:
     def test_negative_momentum_rejected(self):
         with pytest.raises(ValueError):
             classify(-0.1, 1.0)
+
+    @pytest.mark.parametrize("a, kappa0, name", [
+        (1.0, math.nan, "kappa0 = nan"), (0.5, math.inf, "kappa0 = inf"),
+        (0.5, -math.inf, "kappa0 = -inf"), (math.nan, 1.0, "a = nan")])
+    def test_non_finite_input_rejected(self, a, kappa0, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            classify(a, kappa0)
 
 
 class TestEnergyResidual:

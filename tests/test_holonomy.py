@@ -181,3 +181,20 @@ class TestPressurizedFit:
         front = np.stack([t, np.zeros_like(t)], axis=1)
         with pytest.raises(DegenerateInputError):
             pressurized_fit(front, t)
+
+    @pytest.mark.parametrize("bad, match", [
+        ("nan_front", "front must be finite"), ("inf_t", "t must be finite"),
+        ("short_t", "t must be finite, one value per front sample")])
+    def test_bad_input_rejected_before_resampling(self, bad, match, capfd):
+        t = np.arange(0.0, 4 * math.pi, 1e-2)
+        front = 2.0 * np.stack([np.cos(t / 2.0), np.sin(t / 2.0)], axis=1)
+        if bad == "nan_front":
+            front[100, 0] = math.nan
+        elif bad == "inf_t":
+            t[3] = math.inf
+        else:
+            t = t[:-5]
+        with pytest.raises(ValueError, match=match):
+            pressurized_fit(front, t)
+        # nothing reaches LAPACK, which would print its own complaint
+        assert capfd.readouterr().err == ""

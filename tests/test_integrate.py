@@ -27,7 +27,7 @@ from bikegeo.integrate import (RK4_REAL_STABILITY, CotangentState,
                                lift_frame_angles, reduced_rhs, rk4_geodesic,
                                soliton_vertex_state)
 from bikegeo import numdiff
-from bikegeo.verify import _rk4
+from bikegeo.verify import _theta_rk4
 
 
 class TestRightHandSides:
@@ -209,15 +209,19 @@ class TestGeodesics:
         with pytest.raises(DivergenceError) as err:
             rk4_geodesic(canonical_vertex_state(1e9), 1.0)
         assert err.value.t == 0.015
+        # the shortcut lands the same RK4 on the elliptic (T, L)
         out, errs = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errs):
-            rc = cli.main(["geodesic", "--a", "1e9", "--t-end", "1",
-                           "--output", str(tmp_path / "g.csv")])
+            rc = cli.main(["shortcut", "--a", "1e9",
+                           "--output", str(tmp_path / "s.csv")])
         assert rc == 3 and out.getvalue() == ""
         lines = errs.getvalue().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {
-            "error": "divergence", "message": "non-finite state at t = 0.015"}
+        record = json.loads(lines[0])
+        assert record["error"] == "divergence"
+        # its grid divides N periods, so the step is just under 1e-3
+        t = float(record["message"].removeprefix("non-finite state at t = "))
+        assert t == pytest.approx(0.015, abs=1e-5)
 
 
 def _cotangent(x, y, theta, alpha, ptheta, speed=1.0):
@@ -282,6 +286,29 @@ class TestExactGeodesics:
             assert np.array_equal(p.front[0], q.front[0])
             assert p.theta[0] == q.theta[0] == s.theta
             assert p.kappa[0] == pytest.approx(q.kappa[0], rel=1e-15, abs=1e-300)
+
+
+def _rk4(rhs, y0, h, n_steps):
+    """Fixed-step classical RK4 over (..., d) state arrays: the generic
+    array stepper that _array_geodesics runs.
+
+    Returns the trajectory with shape (n_steps + 1, ...) and raises
+    DivergenceError with the offending time if a state goes non-finite.
+    """
+    y = np.array(y0, dtype=float)
+    traj = np.empty((n_steps + 1,) + y.shape)
+    traj[0] = y
+    for i in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise DivergenceError(
+                f"non-finite state at t = {(i + 1) * h!r}", t=(i + 1) * h)
+        traj[i + 1] = y
+    return traj
 
 
 def _array_flow(y, px, py):
@@ -387,6 +414,25 @@ def circle_lift_theta(s, theta0, radius, ell):
     k, omega = math.sqrt(alpha / beta), math.sqrt(alpha * beta)
     c = np.arctanh(np.tan(0.5 * np.asarray(theta0)) / k)
     return s / radius + 2.0 * np.arctan(k * np.tanh(omega * s + c))
+
+
+class TestThetaOracle:
+    """The float RK4 of the theta equation that the fiber checks read,
+    pinned to the exact lifts."""
+
+    def test_line_lift(self):
+        # apexes up to 10 start the ride near the unstable theta = -pi
+        t0 = np.array([-2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
+        out = _theta_rk4(FrontTrackSpec.line(0.0, 8.0), line_lift_theta(0.0, t0, 1.0))
+        assert np.max(np.abs(out - line_lift_theta(8.0, t0, 1.0))) <= 1e-10
+
+    @pytest.mark.parametrize("radius", [2.0, 2.5])
+    def test_circle_lift(self, radius):
+        theta0 = np.array([-0.8, -0.3, 0.0, 0.2, 0.5])
+        ride = 2.0 * math.pi
+        out = _theta_rk4(FrontTrackSpec.circle(radius, 0.0, ride), theta0)
+        ref = circle_lift_theta(ride, theta0, radius, 1.0)
+        assert np.max(np.abs(out - ref)) <= 1e-12
 
 
 def _spline_track():

@@ -181,10 +181,49 @@ class TestCli:
     def test_divergence_exit_code(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise DivergenceError("blew up", t=0.5)
-        monkeypatch.setattr(cli.geo, "rk4_geodesic", boom)
+        monkeypatch.setattr(cli.geo, "integrate_geodesic", boom)
         rc = cli.main(["geodesic", "--a", "0.5", "--kappa0", "1.5"])
         assert rc == 3
         assert json.loads(capsys.readouterr().err.strip())["error"] == "divergence"
+
+    def test_geodesic_is_the_closed_form(self, tmp_path):
+        # RK4 at step 1e-3 cannot follow curvature 1e9; the closed form can
+        out = tmp_path / "g.csv"
+        assert cli.main(["geodesic", "--a", "1e9", "--t-end", "1",
+                         "--output", str(out)]) == 0
+        got = read_path_csv(out)
+        ref = integrate_geodesic(canonical_vertex_state(1e9), 1.0)
+        for field in ("t", "front", "theta", "kappa"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field))
+
+    def test_soliton_frame_angle_is_exact(self, tmp_path):
+        # the soliton's tail nears the unstable theta = pi of the line's
+        # lift, where RK4's frame-angle error grows like e^t
+        out = tmp_path / "g.csv"
+        assert cli.main(["geodesic", "--a", "1", "--output", str(out)]) == 0
+        p = read_path_csv(out)
+        _x, _y, theta, _kappa = closed_forms.geodesic(1.0, p.t)
+        assert p.t[-1] == 30.0
+        assert np.max(np.abs(p.theta - theta)) <= 1e-12
+
+    def test_phase_past_bound_is_usage_error(self, tmp_path, capsys):
+        # (1 + a) t / 2 = 5e9 is past closed_forms.MAX_PHASE = 2^32
+        rc = cli.main(["geodesic", "--a", "1e9", "--t-end", "10",
+                       "--output", str(tmp_path / "g.csv")])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+
+    @pytest.mark.parametrize("a, ell", [(3.0, 1.7), (0.5, 0.5), (0.05, 1.0)])
+    def test_default_kappa0_is_the_vertex(self, tmp_path, a, ell):
+        out = tmp_path / "g.csv"
+        assert cli.main(["geodesic", "--a", repr(a), "--ell", repr(ell),
+                         "--t-end", "5", "--output", str(out)]) == 0
+        p = read_path_csv(out)
+        assert p.theta[0] == 0.5 * math.pi
+        assert p.kappa[0] == pytest.approx((1.0 + a) / ell, rel=1e-14)
+        ref = integrate_geodesic(canonical_vertex_state(a), 5.0 / ell, 1e-3 / ell)
+        assert np.max(np.abs(p.front - ell * ref.front)) <= 1e-12 * ell
 
     def test_classify_output(self, capsys):
         assert cli.main(["classify", "--a", "0.5", "--kappa0", "1.2"]) == 0

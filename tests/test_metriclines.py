@@ -29,6 +29,13 @@ class TestThreshold:
         with pytest.raises(InvalidPeriodError):
             shortcut_threshold(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("T, L", [(math.inf, 1.0), (2.0, math.nan),
+                                      (math.nan, 1.0)])
+    def test_rejects_non_finite_period(self, T, L):
+        with pytest.raises(ValueError,
+                           match=f"T = {T!r} and L = {L!r} must both be finite"):
+            shortcut_threshold(T, L, 1.0)
+
     @given(st.floats(0.5, 10.0), st.floats(0.01, 0.99), st.floats(0.2, 3.0))
     def test_minimality(self, T, frac, ell):
         L = frac * T
