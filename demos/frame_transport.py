@@ -27,8 +27,8 @@ print("...")
 
 mob, residual = fit_mobius(samples)
 print(f"\nMoebius fit residual over 12 fiber points: {residual:.2e}")
-print("fitted circle-map matrix (unit determinant):")
-print(np.array2string(mob.matrix, precision=4))
+print("fitted matrix on (sin(theta/2), cos(theta/2)), |det| = 1:")
+print(np.array2string(mob.chart_matrix, precision=4))
 
 probe = np.array([-2.0, -0.7, 0.5, 1.8])
 probe_samples = transport_samples(track, probe, ell=1.0, step=2e-4)

@@ -21,10 +21,10 @@ the momentum a.
 import math
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.special import (ellipe, ellipj, ellipk, ellipkm1, elliprd,
                            elliprf)
 
+from . import numdiff
 from .analysis import CLASS_TOL
 from .core import _ell_value
 from .errors import NoPeriodError
@@ -110,7 +110,7 @@ def soliton_arclength(t, t0=0.0, ell=1.0):
     u = (t - t0) / ell
     sech, tanh = _sech(u), np.tanh(u)
     speed = np.hypot(1.0 - 2.0 * sech**2, -2.0 * sech * tanh)
-    return cumulative_trapezoid(speed, t, initial=0.0)
+    return numdiff.cumulative_trapezoid(speed, t)
 
 
 def elliptic_period_advance(a, ell=1.0):

@@ -345,7 +345,7 @@ def validate_path(path, h_tol=None, s_tol=None, check_speed=True):
     return worst, smax
 
 
-def flip_path(path, validate=True):
+def flip_path(path):
     """Flip every placement of a path about its back wheel.
 
     The result shares its back track with the input, and the front track
@@ -360,18 +360,17 @@ def flip_path(path, validate=True):
     theta = path.theta + math.pi
     kappa = numdiff.curvature_from_track(front, path.t)
     flipped = SampledBikePath(path.t, front, theta, kappa, ell)
-    if validate:
-        tol = default_horizontality_tol(path)
-        res_in = _no_skid_residuals(path, c, s)
-        worst_in = float(res_in.max()) if res_in.size else 0.0
-        if worst_in > tol:
-            raise HorizontalityError(
-                f"input path violates the no-skid invariant ({worst_in:.3e})")
-        res_out = horizontality_residuals(flipped)
-        worst_out = float(res_out.max()) if res_out.size else 0.0
-        if worst_out > 2.0 * worst_in + tol:
-            raise HorizontalityError(
-                f"flipped path residual {worst_out:.3e} exceeds slack bound")
+    tol = default_horizontality_tol(path)
+    res_in = _no_skid_residuals(path, c, s)
+    worst_in = float(res_in.max()) if res_in.size else 0.0
+    if worst_in > tol:
+        raise HorizontalityError(
+            f"input path violates the no-skid invariant ({worst_in:.3e})")
+    res_out = horizontality_residuals(flipped)
+    worst_out = float(res_out.max()) if res_out.size else 0.0
+    if worst_out > 2.0 * worst_in + tol:
+        raise HorizontalityError(
+            f"flipped path residual {worst_out:.3e} exceeds slack bound")
     return flipped
 
 

@@ -4,11 +4,12 @@ Riding the front wheel along a fixed plane curve transports the frame
 angle: the map from initial to final angle is a diffeomorphism of the
 fiber circle, and it is a linear fractional (Moebius) transformation in
 the half-angle chart u = tan(theta/2).  The lift in `integrate` computes
-the transport as a product of 2x2 matrices acting on that chart; this
-module reads transports off it, fits a Moebius map through fiber samples
-(for samples read off that product the fit holds by construction, so the
-verification suites feed it samples of an independent theta integrator),
-builds bicycle correspondents
+the transport as a product of real 2x2 matrices acting on the vector
+(sin(theta/2), cos(theta/2)), and :class:`MobiusMap` is such a matrix;
+this module reads transports off the lift, fits a Moebius map through
+fiber samples (for samples read off that product the fit holds by
+construction, so the verification suites feed it samples of an
+independent theta integrator), builds bicycle correspondents
 (front tracks sharing a back track, obtained by flipping a lift), and
 fits the pressurized elastica equation
 
@@ -27,11 +28,6 @@ from .core import SampledBikePath, flip_path, normalize_angles
 from .errors import DegenerateInputError, RankDeficiencyError
 from .integrate import DEFAULT_STEP, horizontal_lift, lift_frame_angles
 
-# chart map K : z on the unit circle -> tan(theta/2) on the projective line
-_K = np.array([[-1j, 1j], [1.0, 1.0]])
-_K_INV = np.array([[0.5j, 0.5], [-0.5j, 0.5]])
-
-
 @dataclass(frozen=True)
 class TransportSample:
     """One fiber sample of a parallel transport map."""
@@ -42,46 +38,37 @@ class TransportSample:
 
 @dataclass(frozen=True)
 class MobiusMap:
-    """A linear fractional transformation acting on the unit circle.
+    """A linear fractional transformation of the fiber circle, stored as
+    the real 2x2 matrix acting on (sin(theta/2), cos(theta/2)), the chart
+    of the lift's transport product, scaled to |det| = 1 with the sign
+    of det kept."""
 
-    Stored as a complex 2x2 matrix of unit determinant acting on
-    z = exp(i * theta) by z -> (m00 z + m01) / (m10 z + m11).
-    """
-
-    matrix: np.ndarray
+    chart_matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("matrix must be 2x2")
+        m = np.array(self.chart_matrix, dtype=float)
+        if m.shape != (2, 2) or not np.isfinite(m).all():
+            raise ValueError("chart matrix must be a finite 2x2 matrix")
+        # scaled to a largest |entry| of 1 first, so det cannot overflow
+        m /= max(float(np.abs(m).max()), 1e-300)
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det) < 1e-300:
-            raise ValueError("matrix must be invertible")
-        m = m / np.sqrt(det)
+        if not abs(det) >= 1e-300:
+            raise ValueError("chart matrix must be invertible")
+        m /= math.sqrt(abs(det))
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "chart_matrix", m)
 
     @classmethod
     def identity(cls):
         return cls(np.eye(2))
 
-    @classmethod
-    def from_chart_matrix(cls, chart_matrix):
-        """Build from a real 2x2 matrix acting on u = tan(theta/2)."""
-        m = np.asarray(chart_matrix, dtype=float)
-        return cls(_K_INV @ m @ _K)
-
-    @property
-    def chart_matrix(self):
-        """Real matrix acting on u = tan(theta/2)."""
-        return np.real(_K @ self.matrix @ _K_INV)
-
     def apply(self, theta):
-        """Image angle(s) of theta under the circle map."""
-        z = np.exp(1j * np.asarray(theta, dtype=float))
-        m = self.matrix
-        w = (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
-        return np.angle(w)
+        """Image angle(s) of theta, wrapped to (-pi, pi]."""
+        half = 0.5 * np.asarray(theta, dtype=float)
+        s, c = np.sin(half), np.cos(half)
+        (m00, m01), (m10, m11) = self.chart_matrix
+        return normalize_angles(2.0 * np.arctan2(m00 * s + m01 * c,
+                                                 m10 * s + m11 * c))
 
 
 def transport(track, theta0, ell=1.0, step=DEFAULT_STEP):
@@ -130,10 +117,9 @@ def fit_mobius(samples):
     if sv[-2] < 1e-10 * sv[0]:
         raise RankDeficiencyError("transport samples do not determine the map")
     m = vt[-1].reshape(2, 2)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) < 1e-14:
+    if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) < 1e-14:
         raise RankDeficiencyError("fitted chart matrix is singular")
-    mob = MobiusMap.from_chart_matrix(m / math.sqrt(abs(det)))
+    mob = MobiusMap(m)
     pred = mob.apply(th_in)
     residual = float(np.max(np.abs(normalize_angles(pred - th_out))))
     return mob, residual
@@ -146,8 +132,16 @@ def cross_ratio(u):
 
 
 def cross_ratio_angles(thetas):
-    """Cross ratio of four fiber angles in the tan(theta/2) chart."""
+    """Cross ratio of four fiber angles in the tan(theta/2) chart.
+
+    Raises ValueError unless exactly four finite angles are given, and
+    DegenerateInputError unless they are four distinct fiber points.
+    """
     thetas = np.asarray(thetas, dtype=float)
+    if thetas.shape != (4,) or not np.isfinite(thetas).all():
+        raise ValueError("need exactly four finite angles")
+    if np.unique(np.round(normalize_angles(thetas), 12)).size < 4:
+        raise DegenerateInputError("the four angles must be distinct on the circle")
     return cross_ratio(np.tan(thetas / 2.0))
 
 
@@ -179,7 +173,8 @@ def pressurized_fit(front, t=None, spacing=FIT_SPACING):
     Curvature and its second derivative come from finite differences on
     a grid no finer than ``spacing``; constant-curvature input leaves
     (A, C) underdetermined and the minimum-norm solution is returned.
-    A non-finite front or t, or a t of another length, raises ValueError.
+    A non-finite front or t, a t of another length, or a t that is not
+    strictly increasing raises ValueError.
     """
     if isinstance(front, SampledBikePath):
         t = front.t
@@ -196,6 +191,8 @@ def pressurized_fit(front, t=None, spacing=FIT_SPACING):
     if t.shape != front.shape[:1] or not np.isfinite(t).all():
         raise ValueError(f"t must be finite, one value per front sample "
                          f"({front.shape[0]}), got shape {t.shape}")
+    if not np.all(np.diff(t) > 0.0):
+        raise ValueError("t must be strictly increasing")
     if front.shape[0] < 9:
         raise DegenerateInputError("need at least 9 samples for the fit")
 

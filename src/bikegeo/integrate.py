@@ -376,20 +376,10 @@ class FrontTrackSpec:
                    t0=float(t0), t1=float(t1), arc_length=arc_length)
 
 
-def _lift_generator(d, ell):
-    """Generator A = [[-x', y'], [y', x']] / (2 ell), shape (..., 2, 2).
-
-    The entries are stored entry-major, so :func:`_generator_entries`
-    reads them as contiguous arrays without a copy.
-    """
-    dx, dy = d[..., 0] / (2.0 * ell), d[..., 1] / (2.0 * ell)
-    return np.moveaxis(np.array([[-dx, dy], [dy, dx]]), (0, 1), (-2, -1))
-
-
 def _generator_entries(d, ell):
-    """The generator's two distinct entries: A = [[-X, Y], [Y, X]]."""
-    a = np.moveaxis(_lift_generator(d, ell), (-2, -1), (0, 1))
-    return a[1, 1], a[0, 1]
+    """The two distinct entries (X, Y) of the lift generator
+    A = [[-X, Y], [Y, X]] = [[-x', y'], [y', x']] / (2 ell)."""
+    return d[..., 0] / (2.0 * ell), d[..., 1] / (2.0 * ell)
 
 
 def _step_maps(d_grid, d_half, h, ell):
@@ -551,8 +541,6 @@ def horizontal_lift(track, theta0, ell=1.0, step=DEFAULT_STEP):
         s = t - t[0]
     else:
         d = np.asarray(track.derivative(t), dtype=float).reshape(t.size, 2)
-        speed = np.hypot(d[:, 0], d[:, 1])
-        s = np.concatenate([[0.0], np.cumsum(
-            0.5 * (speed[1:] + speed[:-1]) * np.diff(t))])
+        s = numdiff.cumulative_trapezoid(np.hypot(d[:, 0], d[:, 1]), t)
     kappa = numdiff.curvature_from_track(front, s)
     return SampledBikePath(s, front, theta, kappa, ell)

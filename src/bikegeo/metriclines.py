@@ -55,7 +55,11 @@ def shortcut_threshold(T, L, ell=1.0):
         raise ValueError(f"T = {T!r} and L = {L!r} must both be finite")
     if not (0.0 < L < T):
         raise InvalidPeriodError(f"need 0 < L < T, got T={T}, L={L}")
-    return math.floor(math.pi * ell / (T - L)) + 1
+    ratio = math.pi * ell / (T - L)
+    if not math.isfinite(ratio):
+        raise ValueError(f"pi * ell / (T - L) overflows for T = {T!r}, "
+                         f"L = {L!r}, ell = {ell!r}")
+    return math.floor(ratio) + 1
 
 
 def is_metric_line_candidate(cls: ElasticaClass):

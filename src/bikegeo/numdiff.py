@@ -71,6 +71,11 @@ def deriv2(y, t):
     return np.gradient(d1, t, axis=0)
 
 
+def cumulative_trapezoid(y, t):
+    """Running trapezoid-rule integral of samples y over t, 0 at t[0]."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))])
+
+
 def interior(n, margin=2):
     """Slice selecting samples whose centered stencil fits entirely."""
     if n <= 2 * margin:

@@ -1,6 +1,7 @@
 """Frame-angle transport, Moebius structure, correspondents."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from bikegeo.errors import (DegenerateInputError, ImmersionError,
 from bikegeo.holonomy import (MobiusMap, TransportSample, correspondent,
                               cross_ratio_angles, fit_mobius,
                               pressurized_fit, transport, transport_samples)
-from bikegeo.integrate import FrontTrackSpec
-from bikegeo.verify import _theta_rk4
+from bikegeo.integrate import (FrontTrackSpec, _grid, _running_product,
+                               _step_maps, lift_frame_angles)
+from bikegeo.verify import _random_immersed_track, _theta_rk4
 
 
 def random_track(seed, n_ctrl=8, scale=3.0):
@@ -125,9 +127,70 @@ class TestMobiusFit:
         assert abs(cr_in - cr_out) <= 1e-6
 
     def test_unit_determinant(self):
-        m = MobiusMap(np.array([[2.0, 0.0], [0.0, 2.0]]))
-        det = m.matrix[0, 0] * m.matrix[1, 1] - m.matrix[0, 1] * m.matrix[1, 0]
+        m = MobiusMap(np.array([[2.0, 0.0], [0.0, 2.0]])).chart_matrix
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         assert abs(det - 1.0) <= 1e-12
+
+    def test_reflection_keeps_negative_determinant(self):
+        # (s, c) -> (c, s) is theta -> pi - theta
+        mob = MobiusMap(np.array([[0.0, 3.0], [3.0, 0.0]]))
+        assert np.array_equal(mob.chart_matrix, [[0.0, 1.0], [1.0, 0.0]])
+        thetas = np.array([-2.5, -0.3, 0.0, 1.1, 3.0])
+        gap = normalize_angles(mob.apply(thetas) - (math.pi - thetas))
+        assert np.max(np.abs(gap)) <= 1e-15
+
+    @pytest.mark.parametrize("m", [
+        [[math.nan, 0.0], [0.0, 1.0]], [[1.0, math.inf], [0.0, 1.0]],
+        [[1.0, 2.0], [2.0, 4.0]], [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0, 0.0]]],
+        ids=["nan", "inf", "singular", "zero", "not_2x2"])
+    def test_bad_matrix_rejected(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                MobiusMap(np.array(m))
+
+    def test_fit_of_lift_is_its_transport_product(self):
+        # the map is stored in the lift's chart: a fit through the lift's
+        # own samples is the lift's normalized transport product
+        track = _random_immersed_track(np.random.default_rng(41))
+        thetas = np.linspace(-math.pi, math.pi, 12, endpoint=False) + 0.05
+        _t, theta = lift_frame_angles(track, thetas, 1.0, 2e-4)
+        mob, _resid = fit_mobius([TransportSample(a, b)
+                                  for a, b in zip(thetas, theta[-1])])
+        n, h = _grid(track.t1 - track.t0, 2e-4)
+        t = track.t0 + np.arange(n + 1) * h
+        maps = _step_maps(track.derivative(t), track.derivative(t[:-1] + 0.5 * h),
+                          h, 1.0)
+        product = _running_product(maps[:, 1:])[:, -1].reshape(2, 2)
+        product = product / math.sqrt(abs(np.linalg.det(product)))
+        gap = min(np.max(np.abs(mob.chart_matrix - product)),
+                  np.max(np.abs(mob.chart_matrix + product)))
+        assert gap <= 1e-12
+
+
+class TestCrossRatio:
+    def test_invariant_under_a_mobius_map(self):
+        mob = MobiusMap(np.array([[1.3, -0.4], [0.2, 0.9]]))
+        probe = np.array([-2.0, -0.7, 0.5, 1.8])
+        assert (abs(cross_ratio_angles(probe) - cross_ratio_angles(mob.apply(probe)))
+                <= 1e-12)
+
+    @pytest.mark.parametrize("thetas", [
+        [0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 2.0 * math.pi],
+        [-1.0, 0.5, 2.0 - 4.0 * math.pi, 2.0]],
+        ids=["repeated", "full_turn", "two_turns"])
+    def test_coincident_fiber_points_rejected(self, thetas):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError):
+                cross_ratio_angles(thetas)
+
+    @pytest.mark.parametrize("thetas", [
+        [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0, -1.0], [0.0, 1.0, math.nan, 2.0],
+        [0.0, math.inf, 1.0, 2.0]], ids=["three", "five", "nan", "inf"])
+    def test_not_four_finite_angles_rejected(self, thetas):
+        with pytest.raises(ValueError, match="four finite angles"):
+            cross_ratio_angles(thetas)
 
 
 class TestCorrespondent:
@@ -184,7 +247,9 @@ class TestPressurizedFit:
 
     @pytest.mark.parametrize("bad, match", [
         ("nan_front", "front must be finite"), ("inf_t", "t must be finite"),
-        ("short_t", "t must be finite, one value per front sample")])
+        ("short_t", "t must be finite, one value per front sample"),
+        ("constant_t", "strictly increasing"),
+        ("decreasing_t", "strictly increasing")])
     def test_bad_input_rejected_before_resampling(self, bad, match, capfd):
         t = np.arange(0.0, 4 * math.pi, 1e-2)
         front = 2.0 * np.stack([np.cos(t / 2.0), np.sin(t / 2.0)], axis=1)
@@ -192,8 +257,12 @@ class TestPressurizedFit:
             front[100, 0] = math.nan
         elif bad == "inf_t":
             t[3] = math.inf
-        else:
+        elif bad == "short_t":
             t = t[:-5]
+        elif bad == "constant_t":
+            t = np.zeros_like(t)
+        else:
+            t = t[::-1].copy()
         with pytest.raises(ValueError, match=match):
             pressurized_fit(front, t)
         # nothing reaches LAPACK, which would print its own complaint

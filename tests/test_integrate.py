@@ -19,8 +19,7 @@ from bikegeo.errors import (DivergenceError, ImmersionError,
 from bikegeo.holonomy import TransportSample, correspondent, fit_mobius
 from bikegeo.integrate import (RK4_REAL_STABILITY, CotangentState,
                                FrontTrackSpec, ReducedState,
-                               _full_hamiltonian, _grid, _lift_generator,
-                               _step_maps,
+                               _full_hamiltonian, _grid, _step_maps,
                                canonical_vertex_state, canonicalize,
                                hamiltonian_rhs, horizontal_lift,
                                integrate_geodesic, integrate_geodesics,
@@ -530,8 +529,13 @@ class TestLiftFrameAngles:
         # v' = A v, on steps where h |A| reaches about 1
         ell, step = 0.5, 0.05
         d_grid, d_half, h = _track_derivatives(_spline_track(), step)
-        a = _lift_generator(d_grid, ell)
-        a0, a1, ah = a[:-1], a[1:], _lift_generator(d_half, ell)
+
+        def generator(d):
+            x, y = d[:, 0] / (2.0 * ell), d[:, 1] / (2.0 * ell)
+            return np.stack([np.stack([-x, y], -1), np.stack([y, x], -1)], -2)
+
+        a = generator(d_grid)
+        a0, a1, ah = a[:-1], a[1:], generator(d_half)
         eye = np.eye(2)
         k1 = a0
         k2 = ah @ (eye + 0.5 * h * k1)

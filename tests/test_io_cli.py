@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bikegeo import cli, closed_forms, metriclines, verify
 from bikegeo import integrate as geo
@@ -141,6 +141,7 @@ class TestCli:
         ["plot", "--preset", "fig-kink", "--step", "nan"],
         ["classify", "--a", "1e100", "--kappa0", "1"],
         ["correspond", "--radius", "1e-300"],
+        ["shortcut", "--a", "3", "--ell", "5.8e307", "--step", "1"],
     ], ids="_".join)
     def test_bad_float_is_one_json_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BIKEGEO_OUTPUT_DIR", str(tmp_path))
@@ -274,6 +275,14 @@ class TestCli:
         assert proc.stdout.startswith("Line")
         del out
 
+    def test_import_loads_no_scipy_integrate(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, bikegeo, bikegeo.cli; "
+             "print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 # steps per grid: at most 10^4, or over the budget so that nothing is allocated
@@ -339,6 +348,9 @@ def cli_argv(draw):
 class TestCliContract:
     @settings(max_examples=100, deadline=None)
     @given(cli_argv())
+    # pi * ell overflows: the threshold N must be refused, not floored
+    @example(["shortcut", "--ell", "5.722234971514057e+307", "--a", "3.0",
+              "--step=1.0"])
     def test_finite_floats_exit_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as d, \
@@ -456,15 +468,13 @@ class TestMutationSmoke:
         assert failed >= 2
 
     def test_lift_sign_error_fails_suites(self, monkeypatch):
-        good = geo._lift_generator
+        good = geo._generator_entries
 
         def broken(d, ell):
-            a = good(d, ell)
-            a[..., 0, 0] = -a[..., 0, 0]  # wrong sign on x' in the
-            a[..., 1, 1] = -a[..., 1, 1]  # frame-transport generator
-            return a
+            x, y = good(d, ell)
+            return -x, y  # wrong sign on x' in the frame-transport generator
 
-        monkeypatch.setattr(geo, "_lift_generator", broken)
+        monkeypatch.setattr(geo, "_generator_entries", broken)
         probes = [
             verify.check_transport_monotone,
             verify.check_correspondent_involution,

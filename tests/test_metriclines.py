@@ -36,6 +36,11 @@ class TestThreshold:
                            match=f"T = {T!r} and L = {L!r} must both be finite"):
             shortcut_threshold(T, L, 1.0)
 
+    def test_rejects_overflowing_count(self):
+        # pi * ell is past the largest double: there is no N to floor
+        with pytest.raises(ValueError, match="overflows for T = 2.0, L = 1.0"):
+            shortcut_threshold(2.0, 1.0, 5.8e307)
+
     @given(st.floats(0.5, 10.0), st.floats(0.01, 0.99), st.floats(0.2, 3.0))
     def test_minimality(self, T, frac, ell):
         L = frac * T
