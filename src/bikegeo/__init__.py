@@ -19,7 +19,7 @@ from .integrate import (CotangentState, FrontTrackSpec, ReducedState,
                         canonical_vertex_state, canonicalize, hamiltonian_rhs,
                         horizontal_lift, integrate_geodesic,
                         integrate_geodesics, lift_frame_angles, reduced_rhs,
-                        rk4_geodesic, soliton_vertex_state)
+                        soliton_vertex_state)
 from .closed_forms import (elliptic_period_advance, line_lift_theta,
                            soliton_arclength, soliton_curvature,
                            soliton_point, tractrix_point)
@@ -46,7 +46,7 @@ __all__ = [
     "CotangentState", "FrontTrackSpec", "ReducedState",
     "canonical_vertex_state", "canonicalize", "hamiltonian_rhs",
     "horizontal_lift", "integrate_geodesic", "integrate_geodesics",
-    "lift_frame_angles", "reduced_rhs", "rk4_geodesic", "soliton_vertex_state",
+    "lift_frame_angles", "reduced_rhs", "soliton_vertex_state",
     "elliptic_period_advance", "line_lift_theta", "soliton_arclength",
     "soliton_curvature", "soliton_point", "tractrix_point",
     "ElasticaClass", "ElasticaParams", "Vertex", "VertexReport",

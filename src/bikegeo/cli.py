@@ -5,7 +5,7 @@ verify, plot.  CSV output follows the t,fx,fy,bx,by,theta,kappa schema
 and is byte-deterministic; SVG output reproduces the standard figure
 layouts.  Exit codes: 0 success, 1 usage error (so is a geodesic past
 the closed form's phase bound), 2 verification failure, 3 numerical
-divergence (lift, correspond and the shortcut's RK4 only).  Errors are
+divergence (lift and correspond only).  Errors are
 reported as a single JSON line on stderr.  The BIKEGEO_OUTPUT_DIR
 environment variable sets the default output directory.
 """

@@ -88,6 +88,15 @@ def transport_samples(track, theta_in, ell=1.0, step=DEFAULT_STEP):
     return [TransportSample(float(a), float(b)) for a, b in zip(theta_in, th[-1])]
 
 
+def _distinct_on_circle(theta):
+    """Number of fiber points among the angles theta, split where a gap
+    of the sorted wrapped angles, the wrap-around one included, exceeds
+    1e-12: pi and -pi + 1e-15 are one point."""
+    wrapped = np.sort(normalize_angles(theta))
+    gaps = np.diff(wrapped, append=wrapped[0] + 2.0 * math.pi)
+    return int(np.count_nonzero(gaps > 1e-12))
+
+
 def fit_mobius(samples):
     """Least-squares Moebius map through transport samples.
 
@@ -106,8 +115,7 @@ def fit_mobius(samples):
     th_out = np.array([s.theta_out for s in samples], dtype=float)
     if not (np.all(np.isfinite(th_in)) and np.all(np.isfinite(th_out))):
         raise ValueError("transport sample angles must be finite")
-    wrapped = np.sort(normalize_angles(th_in))
-    if np.unique(np.round(wrapped, 12)).size < 6:
+    if _distinct_on_circle(th_in) < 6:
         raise DegenerateInputError("need at least 6 distinct fiber angles")
 
     s, c = np.sin(th_in / 2.0), np.cos(th_in / 2.0)
@@ -140,7 +148,7 @@ def cross_ratio_angles(thetas):
     thetas = np.asarray(thetas, dtype=float)
     if thetas.shape != (4,) or not np.isfinite(thetas).all():
         raise ValueError("need exactly four finite angles")
-    if np.unique(np.round(normalize_angles(thetas), 12)).size < 4:
+    if _distinct_on_circle(thetas) < 4:
         raise DegenerateInputError("the four angles must be distinct on the circle")
     return cross_ratio(np.tan(thetas / 2.0))
 

@@ -15,9 +15,9 @@ is (1+a) dn((1+a) s / 2 | 4a/(1+a)^2), every state lies on the
 canonical vertex geodesic up to a phase, a rotation and a reflection,
 and the flow of a state off the unit shell is the unit-speed flow at
 the speed sqrt(2H).  :func:`rk4_geodesic` integrates the same flow with
-classical fixed-step RK4 on Python floats; it is kept as the
-independent oracle that the checks pin, and the shortcut lands it on
-the elliptic period and advance.  A batch is a list of single geodesics.
+classical fixed-step RK4 on Python floats; it is kept only as the
+independent oracle that the checks pin, and no product path runs it.
+A batch is a list of single geodesics.
 Conserved quantities are reported as drift, never projected back.
 
 The horizontal lift ell * theta' = cos(theta) * y' - sin(theta) * x' is
@@ -303,8 +303,8 @@ def integrate_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
 def rk4_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
     """:func:`integrate_geodesic` by fixed-step RK4 of the flow.
 
-    The independent oracle of the closed form, which the checks and
-    the shortcut use: same states, grid, budgets and drift, with the
+    The independent oracle of the closed form, which only the checks
+    use: same states, grid, budgets and drift, with the
     discretization error of RK4 and a DivergenceError where a state
     goes non-finite.  On the soliton its frame-angle error grows like
     e^t, because the tail approaches the unstable fixed point theta = pi

@@ -10,7 +10,9 @@ N > pi*ell / (T - L).  Only straight lines and solitons escape, because
 neither has a curvature period: the soliton is the limit a -> 1, where T
 diverges (while T - L tends to 4*ell), so no two vertices lie a period
 apart.  This is exactly the metric-line dichotomy.  T - L tends to 0
-only in the line limit a -> infinity, where N grows without bound.
+only in the line limit a -> infinity, where N grows without bound.  The
+geodesic is sampled from the elliptic closed form, up to its phase bound
+near a = 2.7e9; RK4 lands on the shortcut only in the checks.
 """
 
 import math
@@ -21,11 +23,10 @@ import numpy as np
 from .analysis import LINE, SOLITON, ElasticaClass
 # unused here; bound so that bench/spans.py can wrap them at this module
 from .analysis import canonical_orient, period_and_advance  # noqa: F401
-from .integrate import integrate_geodesic  # noqa: F401
 from .closed_forms import elliptic_period_advance
 from .core import ConfigPoint, SampledBikePath, _ell_value, angle_difference
 from .errors import EndpointMismatchError, InvalidPeriodError
-from .integrate import DEFAULT_STEP, ReducedState, _grid, rk4_geodesic
+from .integrate import DEFAULT_STEP, ReducedState, _grid, integrate_geodesic
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,11 @@ def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):
     momentum a and compare lengths.
 
     (T, L) come from the elliptic closed form.  The geodesic is then
-    integrated by RK4 (:func:`integrate.rk4_geodesic`) from its canonical
-    vertex over exactly N periods, and the shortcut must land on the same
-    configuration (N*L, 0, pi/2), which checks the closed form against an
-    independent integrator.  Returns
+    sampled from its canonical vertex over exactly N periods
+    (:func:`integrate.integrate_geodesic`), and the shortcut must land on
+    the same configuration (N*L, 0, pi/2) within 1e-3, which checks the
+    sampled closed form against the elliptic (T, L).  The independent
+    RK4 landing is :func:`verify.check_shortcut_grid`.  Returns
     (report, geodesic_path, shortcut_path).
     """
     ell = _ell_value(ell)
@@ -150,7 +152,7 @@ def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):
     N = shortcut_threshold(T, L, ell)
     # vertex state in physical units: curvature scales as 1/ell
     start = ReducedState(0.0, 0.0, 0.5 * math.pi, (1.0 + float(a)) / ell, float(a))
-    geo = rk4_geodesic(start, N * T, step, ell)
+    geo = integrate_geodesic(start, N * T, step, ell)
     end = geo.config(len(geo) - 1)
     cut = build_shortcut(ConfigPoint(0.0, 0.0, 0.5 * math.pi), N, L, ell,
                          step, expected_end=end, tol=1e-3)

@@ -5,15 +5,7 @@ asserts the underlying check.  Tolerances are fixed here and in
 bikegeo.verify; nothing is calibrated at run time.
 """
 
-import math
-
-import numpy as np
-import pytest
-
 from bikegeo import verify
-from bikegeo.core import angle_difference, horizontality_residuals, \
-    default_horizontality_tol
-from bikegeo.metriclines import shortcut_analysis
 
 
 def _report(num, title, ok, detail):
@@ -61,21 +53,9 @@ def test_criterion_07_tractrix_soliton_oracle():
 
 
 def test_criterion_08_shortcut():
-    worst_margin = math.inf
-    worst_end = 0.0
-    horiz_ok = True
-    for a in (0.5, 2.0):
-        report, geod, cut = shortcut_analysis(a)
-        worst_margin = min(worst_margin, report.margin)
-        res = float(horizontality_residuals(cut).max())
-        horiz_ok &= res <= default_horizontality_tol(cut)
-        end, ref = cut.config(len(cut) - 1), geod.config(len(geod) - 1)
-        worst_end = max(worst_end, abs(end.x - ref.x), abs(end.y - ref.y),
-                        abs(float(angle_difference(end.theta, ref.theta))))
-    ok = horiz_ok and worst_margin >= 1e-3 and worst_end <= 1e-4
-    _report(8, "shortcut of length pi*ell + N*L beats the geodesic", ok,
-            f"margin >= {worst_margin:.3f}, endpoint gap {worst_end:.2e}, "
-            f"horizontal: {horiz_ok}")
+    ok, detail = verify.check_shortcut_grid()
+    _report(8, "shortcut of length pi*ell + N*L beats the geodesic, "
+            "RK4 lands on its end to 1e-4", ok, detail)
 
 
 def test_criterion_09_mobius_transport():

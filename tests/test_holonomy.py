@@ -87,6 +87,12 @@ class TestMobiusFit:
         with pytest.raises(DegenerateInputError):
             fit_mobius(samples)
 
+    def test_points_across_the_seam_are_one(self):
+        # pi and -pi + 1e-15 are one fiber point: five distinct in all
+        thetas = [math.pi, -math.pi + 1e-15, -2.0, -1.0, 0.5, 1.5]
+        with pytest.raises(DegenerateInputError):
+            fit_mobius([TransportSample(t, t) for t in thetas])
+
     def test_rank_deficient_rejected(self):
         # two distinct fiber points repeated never pin down the map
         samples = ([TransportSample(0.1 + 1e-13 * k, 0.2) for k in range(4)]
@@ -177,8 +183,9 @@ class TestCrossRatio:
 
     @pytest.mark.parametrize("thetas", [
         [0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 2.0 * math.pi],
-        [-1.0, 0.5, 2.0 - 4.0 * math.pi, 2.0]],
-        ids=["repeated", "full_turn", "two_turns"])
+        [-1.0, 0.5, 2.0 - 4.0 * math.pi, 2.0],
+        [math.pi, -math.pi + 1e-15, 0.5, 1.0], [0.5, math.pi, 1.0, -math.pi]],
+        ids=["repeated", "full_turn", "two_turns", "seam", "seam_exact"])
     def test_coincident_fiber_points_rejected(self, thetas):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

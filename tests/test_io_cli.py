@@ -259,6 +259,31 @@ class TestCli:
         report = capsys.readouterr().out.splitlines()[0]
         assert "N_star=1" in report and "margin=" in report
 
+    @pytest.mark.parametrize("a, rc", [("1000", 0), ("1e9", 0), ("3e9", 1), ("1e16", 1)])
+    def test_shortcut_at_large_momenta(self, tmp_path, capsys, a, rc):
+        # RK4 at step 1e-3 cannot follow curvature 1e9, the closed form can;
+        # past a ~ 2.7e9 its phase passes closed_forms.MAX_PHASE
+        assert cli.main(["shortcut", "--a", a,
+                         "--output", str(tmp_path / "s.csv")]) == rc
+        out, err = capsys.readouterr()
+        if rc:
+            assert out == "" and len(err.splitlines()) == 1
+            assert json.loads(err)["error"] == "usage"
+            return
+        report = dict(field.split("=") for field in out.splitlines()[0].split())
+        T, L = closed_forms.elliptic_period_advance(float(a), 1.0)
+        assert int(report["N_star"]) == metriclines.shortcut_threshold(T, L)
+        assert float(report["margin"]) > 0.0
+
+    def test_product_never_runs_rk4(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(geo, "_geodesic_rk4",
+                            lambda *args: pytest.fail("RK4 ran on a product path"))
+        runs = [["geodesic", "--a", "0.5"], ["shortcut", "--a", "0.5"],
+                ["shortcut", "--a", "0.5", "--format", "svg"]]
+        runs += [["plot", "--preset", name] for name in cli.PLOT_PRESETS]
+        for i, argv in enumerate(runs):
+            assert cli.main(argv + ["--output", str(tmp_path / str(i))]) == 0, argv
+
     def test_output_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BIKEGEO_OUTPUT_DIR", str(tmp_path))
         assert cli.main(["geodesic", "--a", "0.5", "--kappa0", "1.5",
