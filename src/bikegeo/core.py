@@ -88,6 +88,12 @@ class ConfigPoint:
     def back(self, ell=1.0):
         return self.front - _ell_value(ell) * self.frame_dir
 
+    def gap(self, other, scale=1.0):
+        """Largest of |dx|/scale, |dy|/scale and the wrapped |dtheta| to other."""
+        dx, dy = abs(self.x - other.x), abs(self.y - other.y)
+        return max(dx / scale, dy / scale,
+                   abs(normalize_angle(self.theta - other.theta)))
+
 
 @dataclass(frozen=True)
 class RigidMotion:

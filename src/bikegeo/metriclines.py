@@ -24,7 +24,7 @@ from .analysis import LINE, SOLITON, ElasticaClass
 # unused here; bound so that bench/spans.py can wrap them at this module
 from .analysis import canonical_orient, period_and_advance  # noqa: F401
 from .closed_forms import elliptic_period_advance
-from .core import ConfigPoint, SampledBikePath, _ell_value, angle_difference
+from .core import ConfigPoint, SampledBikePath, _ell_value
 from .errors import EndpointMismatchError, InvalidPeriodError
 from .integrate import DEFAULT_STEP, ReducedState, _grid, integrate_geodesic
 
@@ -126,9 +126,7 @@ def build_shortcut(start, N, L, ell=1.0, step=DEFAULT_STEP, expected_end=None,
     path = SampledBikePath(t, front, theta, kappa, ell)
 
     if expected_end is not None:
-        end = path.config(len(path) - 1)
-        err = max(abs(end.x - expected_end.x), abs(end.y - expected_end.y),
-                  abs(float(angle_difference(end.theta, expected_end.theta))))
+        err = path.config(len(path) - 1).gap(expected_end)
         if err > tol:
             raise EndpointMismatchError(
                 f"shortcut endpoint off by {err:.3e} (tol {tol:.1e})")

@@ -16,10 +16,9 @@ from scipy.interpolate import CubicSpline
 
 from . import analysis, closed_forms, holonomy, io as pathio, metriclines
 from . import integrate as geo
-from .core import (ConfigPoint, RigidMotion, act, angle_difference,
-                   default_horizontality_tol, dilate_path, flip, flip_path,
-                   horizontality_residuals, normalize_angles, path_length,
-                   to_st_model, from_st_model)
+from .core import (ConfigPoint, RigidMotion, act, default_horizontality_tol,
+                   dilate_path, flip, flip_path, horizontality_residuals,
+                   normalize_angles, path_length, to_st_model, from_st_model)
 from . import numdiff
 from .errors import BikeGeoError
 
@@ -98,10 +97,7 @@ def check_flip_involution():
                         rng.uniform(-math.pi, math.pi))
         ell = rng.uniform(0.3, 3.0)
         q = flip(flip(p, ell), ell)
-        scale = max(1.0, abs(p.x), abs(p.y))
-        worst = max(worst,
-                    abs(q.x - p.x) / scale, abs(q.y - p.y) / scale,
-                    abs(float(angle_difference(q.theta, p.theta))))
+        worst = max(worst, q.gap(p, max(1.0, abs(p.x), abs(p.y))))
     path = geo.integrate_geodesic(geo.canonical_vertex_state(0.6), 10.0)
     pp = flip_path(flip_path(path))
     worst = max(worst, float(np.max(np.abs(pp.front - path.front))),
@@ -149,10 +145,7 @@ def check_act_composition():
                         1 if rng.uniform() < 0.5 else -1)
         p = ConfigPoint(rng.uniform(-3, 3), rng.uniform(-3, 3),
                         rng.uniform(-math.pi, math.pi))
-        lhs = act(g.compose(h), p)
-        rhs = act(g, act(h, p))
-        worst = max(worst, abs(lhs.x - rhs.x), abs(lhs.y - rhs.y),
-                    abs(float(angle_difference(lhs.theta, rhs.theta))))
+        worst = max(worst, act(g.compose(h), p).gap(act(g, act(h, p))))
     return worst <= 1e-12, f"worst composition defect {worst:.2e} (tol 1e-12)"
 
 
@@ -167,9 +160,7 @@ def check_st_roundtrip():
         ell = rng.uniform(0.2, 4.0)
         b, v = to_st_model(p, ell)
         q = from_st_model(b, v, ell)
-        scale = max(1.0, abs(p.x), abs(p.y))
-        worst = max(worst, abs(q.x - p.x) / scale, abs(q.y - p.y) / scale,
-                    abs(float(angle_difference(q.theta, p.theta))))
+        worst = max(worst, q.gap(p, max(1.0, abs(p.x), abs(p.y))))
     return worst <= 1e-15, f"worst relative roundtrip error {worst:.2e} (tol 1e-15)"
 
 
@@ -695,9 +686,7 @@ def check_shortcut_grid():
             return False, f"a={a}: shortcut not horizontal ({res:.2e})"
         rk4 = geo.rk4_geodesic(geo.canonical_vertex_state(a),
                                report.N_star * report.T)
-        end, ref = cut.config(len(cut) - 1), rk4.config(len(rk4) - 1)
-        err = max(abs(end.x - ref.x), abs(end.y - ref.y),
-                  abs(float(angle_difference(end.theta, ref.theta))))
+        err = cut.config(len(cut) - 1).gap(rk4.config(len(rk4) - 1))
         if err > 1e-4:
             return False, f"a={a}: RK4 endpoint gap {err:.2e} (tol 1e-4)"
         details.append(f"a={a}: N*={report.N_star} margin={report.margin:.3f} "

@@ -173,6 +173,13 @@ class TestGeodesics:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_convergence_is_fourth_order(self):
+        s = canonical_vertex_state(0.7)
+        ref = rk4_geodesic(s, 5.0, 1e-3 / 8).front[-1]
+        e1 = np.max(np.abs(rk4_geodesic(s, 5.0, 8e-3).front[-1] - ref))
+        e2 = np.max(np.abs(rk4_geodesic(s, 5.0, 4e-3).front[-1] - ref))
+        assert e1 / e2 >= 12.0
+
     def test_frame_length_rescaling(self):
         # the ell-geodesic is the dilation of the unit-frame geodesic
         a = 0.6

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bikegeo import analysis
-from bikegeo.core import (ConfigPoint, angle_difference,
-                          horizontality_residuals, default_horizontality_tol)
+from bikegeo.core import (ConfigPoint, horizontality_residuals,
+                          default_horizontality_tol)
 from bikegeo.errors import EndpointMismatchError, InvalidPeriodError
 from bikegeo.metriclines import (ShortcutReport, build_shortcut,
                                  is_metric_line_candidate, shortcut_analysis,
@@ -95,9 +95,7 @@ class TestShortcutAnalysis:
         report, geod, cut = shortcut_analysis(a)
         assert report.margin >= 1e-3
         assert report.shortcut_length < report.geodesic_length
-        end, ref = cut.config(len(cut) - 1), geod.config(len(geod) - 1)
-        assert max(abs(end.x - ref.x), abs(end.y - ref.y),
-                   abs(angle_difference(end.theta, ref.theta))) <= 1e-4
+        assert cut.config(len(cut) - 1).gap(geod.config(len(geod) - 1)) <= 1e-4
 
     def test_below_threshold_is_longer(self):
         report, _, _ = shortcut_analysis(4.0)

@@ -1,6 +1,7 @@
 """Every verification check in verify.SUITES that test_acceptance.py
 does not already assert, so a green pytest run implies
-`bikegeo verify --suite all` exits 0."""
+`bikegeo verify --suite all` exits 0.  check_shortcut_grid, the only
+RK4 landing on the product's shortcut, runs here beside criterion 8."""
 
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ from bikegeo import verify
 _ACCEPTED = set(re.findall(
     r"verify\.(check_\w+)",
     Path(__file__).with_name("test_acceptance.py").read_text()))
+_ACCEPTED.discard("check_shortcut_grid")
 
 _CHECKS = [fn for checks in verify.SUITES.values() for _name, fn in checks
            if fn.__name__ not in _ACCEPTED]
