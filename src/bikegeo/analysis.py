@@ -210,6 +210,45 @@ def _window(x, j):
     return x[j - 1:j + 2].tolist()
 
 
+def _memoized(path, key, compute):
+    """compute(path), kept on the path under key.
+
+    SampledBikePath is an immutable value, so whatever is derived from
+    its arrays stays valid.  The memo is a private attribute, not a
+    dataclass field: equality, :func:`core.act` and the CSV ignore it.
+    """
+    memo = path.__dict__.setdefault("_analysis_memo", {})
+    if key not in memo:
+        memo[key] = compute(path)
+    return memo[key]
+
+
+def _curvature_scan(path):
+    """Raw extremum indices and kinds of the extended curvature, and the
+    curvature range; no extrema where kappa is constant to roundoff."""
+    hi, lo = float(np.max(path.kappa)), float(np.min(path.kappa))
+    krange = hi - lo
+    if krange <= 1e-8 * max(1.0, hi, -lo):
+        return [], [], krange
+    return (*_raw_extrema(_extended(path.kappa)), krange)
+
+
+def _read_vertices(path):
+    """The vertex report of the path's curvature scan, read off each
+    extremum's three-sample windows."""
+    idx, kinds, krange = _memoized(path, "scan", _curvature_scan)
+    x, y = path.front[:, 0], path.front[:, 1]
+    entries = []
+    for i, kind in zip(idx, kinds):
+        j = i - 1  # extended sample i is sample i - 1 of the path
+        window = _window(path.kappa, j)
+        tv, s = _quad_refine(_window(path.t, j), window)
+        th = normalize_angle(_quad_value(_window(path.theta, j), s))
+        pos = (_quad_value(_window(x, j), s), _quad_value(_window(y, j), s))
+        entries.append(Vertex(tv, kind, _quad_value(window, s), th, pos))
+    return VertexReport(tuple(_prune_jitter(entries, krange)))
+
+
 def find_vertices(path):
     """Locate curvature extrema of the front track.
 
@@ -218,29 +257,37 @@ def find_vertices(path):
     curvature is first extended by one quadratically extrapolated sample
     at each end, so a vertex up to half a spacing beyond the first or
     last sample is found too; its time is not clipped to the path.  Time,
-    frame angle and position are read from each extremum's three
-    samples alone, extrapolated the same way at an end.  Paths whose
-    curvature is constant to roundoff (lines, circles) produce an empty
-    report.
+    curvature, frame angle and position are read from each extremum's
+    three samples alone, extrapolated the same way at an end.  Paths
+    whose curvature is constant to roundoff (lines, circles) produce an
+    empty report.
+
+    The curvature scan and the report are memoized on the path, so each
+    path is scanned once however many measurements read its vertices;
+    :func:`canonical_orient` seeds the oriented path with the input's
+    scan.
     """
     if len(path) < 5:
         raise DegenerateInputError("need at least 5 samples to find vertices")
-    hi, lo = float(np.max(path.kappa)), float(np.min(path.kappa))
-    krange = hi - lo
-    if krange <= 1e-8 * max(1.0, hi, -lo):
-        return VertexReport(())
+    return _memoized(path, "report", _read_vertices)
 
-    k = _extended(path.kappa)
-    x, y = path.front[:, 0], path.front[:, 1]
-    entries = []
-    for i, kind in zip(*_raw_extrema(k)):
-        j = i - 1  # extended sample i is sample i - 1 of the path
-        window = k[i - 1:i + 2].tolist()
-        tv, s = _quad_refine(_window(path.t, j), window)
-        th = normalize_angle(_quad_value(_window(path.theta, j), s))
-        pos = (_quad_value(_window(x, j), s), _quad_value(_window(y, j), s))
-        entries.append(Vertex(tv, kind, _quad_value(window, s), th, pos))
-    return VertexReport(tuple(_prune_jitter(entries, krange)))
+
+_OTHER_KIND = {"max": "min", "min": "max"}
+
+
+def _moved(g, path):
+    """act(g, path) with the curvature scan of path carried over.
+
+    A direct motion leaves kappa bit for bit; a reflection negates it
+    exactly, which keeps the extremum indices and the range and swaps
+    the kinds.  The moved path's report then only reads its windows.
+    """
+    idx, kinds, krange = _memoized(path, "scan", _curvature_scan)
+    if g.orientation == -1:
+        kinds = [_OTHER_KIND[kind] for kind in kinds]
+    moved = act(g, path)
+    _memoized(moved, "scan", lambda _moved_path: (idx, kinds, krange))
+    return moved
 
 
 def _soliton_like(report):
@@ -265,7 +312,7 @@ def _oriented_and_vertices(path):
     ref = report.vertices[0].kappa if len(report) else float(np.median(path.kappa))
     if ref < 0.0:
         motion = RigidMotion.reflection_x()
-        path = act(motion, path)
+        path = _moved(motion, path)
         report = find_vertices(path)
     return path, motion, report
 
@@ -285,6 +332,10 @@ def canonical_orient(path):
     heights; for a soliton the front-track tangent at the endpoint far
     from the apex is used instead (the frame settles onto the asymptote
     exponentially fast there).
+
+    The oriented path carries the input's curvature scan (see
+    :func:`find_vertices`), so measuring it reads only the windows of
+    its vertices.
     """
     work, reflect, report = _oriented_and_vertices(path)
     if len(report) == 0:
@@ -304,7 +355,7 @@ def canonical_orient(path):
         rot = RigidMotion.rotation_about(phi)
         anchor = rot.apply_point(first)
         move = RigidMotion.translation_by(-anchor) @ rot @ reflect
-        return act(move, path), move
+        return _moved(move, path), move
 
     if _soliton_like(report):
         apex_v = report.maxima()[0]
@@ -323,7 +374,7 @@ def canonical_orient(path):
         apex = rot.apply_point(np.asarray(apex_v.position))
         target = np.array([0.0, 2.0 * work.ell])
         move = RigidMotion.translation_by(target - apex) @ rot @ reflect
-        return act(move, path), move
+        return _moved(move, path), move
 
     raise InsufficientExtentError(
         "need two curvature extrema or a soliton apex to orient",
@@ -403,19 +454,27 @@ def period_and_advance(path):
     return T, L
 
 
+def _energy_terms(path):
+    """kappa^2 and kappa'^2/2 + kappa^4/8 over the interior samples,
+    with kappa' by centered finite differences (:func:`numdiff.deriv1`)."""
+    k = path.kappa
+    kd = numdiff.deriv1(k, path.t)
+    sl = numdiff.interior(len(path), 2)
+    return k[sl] ** 2, 0.5 * kd[sl] ** 2 + 0.125 * k[sl] ** 4
+
+
 def energy_residual(path, params):
     """Worst defect of the elastica energy form along a path.
 
     Returns max over interior samples of
     |kappa'^2/2 + kappa^4/8 + (A/2) kappa^2 - B| with kappa' estimated
-    by centered finite differences.
+    by centered finite differences.  The terms in kappa are memoized on
+    the path and shared with :func:`fit_elastica_params`.
     """
     if len(path) < 5:
         raise DegenerateInputError("need at least 5 samples for the energy form")
-    k = path.kappa
-    kd = numdiff.deriv1(k, path.t)
-    sl = numdiff.interior(len(path), 2)
-    res = 0.5 * kd[sl] ** 2 + 0.125 * k[sl] ** 4 + 0.5 * params.A * k[sl] ** 2 - params.B
+    k2, energy = _memoized(path, "energy", _energy_terms)
+    res = energy + 0.5 * params.A * k2 - params.B
     return float(np.max(np.abs(res)))
 
 
@@ -423,22 +482,20 @@ def fit_elastica_params(path):
     """Least-squares (A, B) fit of the energy form to a sampled track.
 
     Solves (A/2) kappa^2 - B = -(kappa'^2/2 + kappa^4/8) over interior
-    samples.  Constant-curvature input makes the system rank deficient;
-    the minimum-norm solution is returned in that case.
+    samples, in closed form (:func:`numdiff.affine_lstsq`, the
+    two-column np.linalg.lstsq with rcond = 1e-6), from the terms it
+    shares with :func:`energy_residual`.  Constant-curvature input makes
+    the system rank deficient; the minimum-norm solution is returned in
+    that case.
     """
     if len(path) < 5:
         raise DegenerateInputError("need at least 5 samples to fit")
-    k = path.kappa
-    kd = numdiff.deriv1(k, path.t)
-    sl = numdiff.interior(len(path), 2)
-    rows = np.stack([0.5 * k[sl] ** 2, -np.ones(k[sl].size)], axis=1)
-    rhs = -(0.5 * kd[sl] ** 2 + 0.125 * k[sl] ** 4)
-    # rcond keeps constant-curvature input at the minimum-norm solution
-    (A, B), *_ = np.linalg.lstsq(rows, rhs, rcond=1e-6)
+    k2, energy = _memoized(path, "energy", _energy_terms)
+    A, B = numdiff.affine_lstsq(0.5 * k2, -energy)
     mu = -2.0 * B / (A * A) if A != 0.0 else math.inf
     a2 = -2.0 * A - 1.0
     a = math.sqrt(a2) if a2 >= 0.0 else None
-    return ElasticaParams(float(A), float(B), float(mu), a)
+    return ElasticaParams(A, B, mu, a)
 
 
 def strip_width(points, n_dir=720):

@@ -179,8 +179,11 @@ def pressurized_fit(front, t=None, spacing=FIT_SPACING):
     with residual the worst absolute defect over interior samples.
 
     Curvature and its second derivative come from finite differences on
-    a grid no finer than ``spacing``; constant-curvature input leaves
-    (A, C) underdetermined and the minimum-norm solution is returned.
+    a grid no finer than ``spacing``, and (A, C) from the closed-form
+    two-column least squares :func:`numdiff.affine_lstsq` (the
+    np.linalg.lstsq solution with rcond = 1e-6); constant-curvature
+    input leaves (A, C) underdetermined and the minimum-norm solution
+    is returned.
     A non-finite front or t, a t of another length, or a t that is not
     strictly increasing raises ValueError.
     """
@@ -216,10 +219,8 @@ def pressurized_fit(front, t=None, spacing=FIT_SPACING):
     kdd = numdiff.deriv2(kappa, tt)
     sl = numdiff.interior(f.shape[0], 5)
     k = kappa[sl]
-    rows = np.stack([k, -np.ones_like(k)], axis=1)
-    rhs = -(kdd[sl] + 0.5 * k**3)
     # rcond truncates the noise-level singular direction of constant-
     # curvature input, yielding the minimum-norm (A, C) there
-    (A, C), *_ = np.linalg.lstsq(rows, rhs, rcond=1e-6)
+    A, C = numdiff.affine_lstsq(k, -(kdd[sl] + 0.5 * k**3), rcond=1e-6)
     defect = np.abs(kdd[sl] + 0.5 * k**3 + A * k - C)
-    return float(A), float(C), float(np.max(defect))
+    return A, C, float(np.max(defect))

@@ -157,9 +157,10 @@ def _geodesic_rk4(x, y, theta, ptheta, px, py, h, n_steps):
     """Fixed-step classical RK4 of the flow from one state.
 
     Stage states are formed for theta and ptheta only: x and y never
-    feed back.  Returns the trajectory as an (n_steps + 1, 4) array of
-    rows (x, y, theta, ptheta) and raises DivergenceError with the
-    offending time if a state goes non-finite.
+    feed back.  Returns the trajectory as :func:`_exact_geodesic` does,
+    positions xy of shape (n_steps + 1, 2) and contiguous theta and
+    ptheta, and raises DivergenceError with the offending time if a
+    state goes non-finite.
     """
     hh, h6 = 0.5 * h, h / 6.0
     traj = array("d", (x, y, theta, ptheta))
@@ -182,7 +183,8 @@ def _geodesic_rk4(x, y, theta, ptheta, px, py, h, n_steps):
     done = len(traj) // 4
     if done <= n_steps:
         raise DivergenceError(f"non-finite state at t = {done * h!r}", t=done * h)
-    return np.frombuffer(traj).reshape(done, 4)
+    rows = np.frombuffer(traj).reshape(done, 4)
+    return rows[:, :2], rows[:, 2].copy(), rows[:, 3].copy()
 
 
 def _grid(t_end, step, width=1):
@@ -201,10 +203,10 @@ def _grid(t_end, step, width=1):
     return n, h
 
 
-def _full_hamiltonian(traj, px, py):
-    th, pth = traj[..., 2], traj[..., 3]
-    p1 = px - np.sin(th) * pth
-    p2 = py + np.cos(th) * pth
+def _full_hamiltonian(theta, ptheta, px, py):
+    """H at samples of theta and ptheta, for the momenta (px, py)."""
+    p1 = px - np.sin(theta) * ptheta
+    p2 = py + np.cos(theta) * ptheta
     return 0.5 * (p1**2 + p2**2)
 
 
@@ -218,9 +220,10 @@ def _exact_geodesic(x, y, theta, ptheta, px, py, h, n_steps):
     it is then the canonical vertex geodesic at the phase
     :func:`closed_forms.geodesic_phase`, moved rigidly.  kappa = 0 is
     the line (a = 1), where the frame angle follows the line's lift
-    theta' = -a sin(theta).  Returns rows (x, y, theta, ptheta) like
-    :func:`_geodesic_rk4`; the first row is the state itself, ptheta to
-    rounding.
+    theta' = -a sin(theta).  Returns the samples as columns: positions
+    xy of shape (n_steps + 1, 2), theta and ptheta, like
+    :func:`_geodesic_rk4`; the first sample is the state itself, ptheta
+    to rounding.
     """
     lam = math.sqrt(2.0 * CotangentState(x, y, theta, px, py, ptheta).hamiltonian())
     # the scaled state is off the shell by rounding only, which grows
@@ -242,12 +245,10 @@ def _exact_geodesic(x, y, theta, ptheta, px, py, h, n_steps):
     # undo the reflection, then the rotation g
     c, s = math.cos(g.rotation), math.sin(g.rotation)
     dy = sign * dy
-    traj = np.empty((n_steps + 1, 4))
-    traj[:, 0] = x + (c * dx + s * dy)
-    traj[:, 1] = y + (c * dy - s * dx)
-    traj[:, 2] = theta + sign * dth
-    traj[:, 3] = (sign * lam) * kappa
-    return traj
+    xy = np.empty((n_steps + 1, 2))
+    xy[:, 0] = x + (c * dx + s * dy)
+    xy[:, 1] = y + (c * dy - s * dx)
+    return xy, theta + sign * dth, (sign * lam) * kappa
 
 
 def _sample_geodesic(state, t_end, step, ell, flow):
@@ -261,16 +262,15 @@ def _sample_geodesic(state, t_end, step, ell, flow):
         ptheta, px, py, drift_scale = state.ptheta, state.px, state.py, 1.0
     x, y, theta, ptheta, px, py = map(
         float, (state.x / ell, state.y / ell, state.theta, ptheta, px, py))
-    speed2 = 2.0 * _full_hamiltonian(np.array([x, y, theta, ptheta]), px, py)
+    speed2 = 2.0 * _full_hamiltonian(theta, ptheta, px, py)
     if not (abs(speed2 - 1.0) <= 1e-6):
         raise NotUnitSpeedError(f"front speed^2 = 2H = {float(speed2)!r}, "
                                 "expected 1 for a unit-speed state")
-    traj = flow(x, y, theta, ptheta, px, py, float(h), n)
-    energy = _full_hamiltonian(traj, px, py)
+    xy, th, pth = flow(x, y, theta, ptheta, px, py, float(h), n)
+    energy = _full_hamiltonian(th, pth, px, py)
     drift = drift_scale * float(np.max(np.abs(energy - energy[0])))
     t = ell * (np.arange(n + 1) * h)
-    return SampledBikePath(t, ell * traj[:, :2], traj[:, 2], traj[:, 3] / ell,
-                           ell, drift)
+    return SampledBikePath(t, ell * xy, th, pth / ell, ell, drift)
 
 
 def integrate_geodesics(states, t_end, step=DEFAULT_STEP, ell=1.0):

@@ -1,4 +1,5 @@
-"""Finite-difference derivatives on sampled grids.
+"""Finite-difference derivatives on sampled grids, and the two-column
+least-squares fit that the elastica fits solve with them.
 
 Uniform grids get centered 4th-order stencils in the interior (the
 outermost two samples fall back to lower order); non-uniform grids fall
@@ -6,6 +7,8 @@ back to ``np.gradient``.  The ``interior`` slice trims the samples whose
 stencil does not fit, which is where callers should read values they
 hold to tight tolerances.
 """
+
+import math
 
 import numpy as np
 
@@ -96,3 +99,37 @@ def curvature_from_track(points, t):
     speed2 = d1[:, 0] ** 2 + d1[:, 1] ** 2
     num = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
     return num / speed2**1.5
+
+
+def affine_lstsq(x, rhs, rcond=1e-6):
+    """Least-squares (A, B) with rhs ~ A x - B, in closed form.
+
+    Gives what np.linalg.lstsq gives for the columns [x, -1] with the
+    same rcond.  Their 2x2 Gram matrix [[sum x^2, -sum x], [-sum x, n]]
+    has determinant n Sxx, Sxx the centered sum of squares, so its
+    eigenvalues lam1 >= lam2 = n Sxx / lam1 are the squared singular
+    values.  Where sqrt(lam2 / lam1) > rcond the fit is the centered
+    one, A = Sxr / Sxx and B = A mean(x) - mean(rhs).  Otherwise, as in
+    lstsq, the smaller singular value counts as zero and the
+    minimum-norm solution along the unit top eigenvector v of the Gram
+    matrix is returned, v (v . [x, -1]^T rhs) / lam1; for constant
+    x = c that is (c, -1) mean(rhs) / (c^2 + 1).
+    """
+    x = np.asarray(x, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    n = x.size
+    xm, rm = float(x.mean()), float(rhs.mean())
+    dx = x - xm
+    sxx = float(dx @ dx)
+    g11, g12 = sxx + n * xm * xm, -n * xm
+    half = 0.5 * (g11 + n)
+    lam1 = half + math.sqrt(max(half * half - n * sxx, 0.0))
+    if n * sxx > (rcond * lam1) ** 2:
+        A = float(dx @ (rhs - rm)) / sxx
+        return A, A * xm - rm
+    # of the two forms of the top eigenvector, the longer one
+    v = (g12, lam1 - g11)
+    if abs(lam1 - n) > abs(v[1]):
+        v = (lam1 - n, g12)
+    scale = (v[0] * float(x @ rhs) - v[1] * n * rm) / (lam1 * (v[0] ** 2 + v[1] ** 2))
+    return v[0] * scale, v[1] * scale

@@ -1,5 +1,7 @@
 """Elastica diagnostics: parameters, classification, widths, vertices."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +18,7 @@ from bikegeo.errors import (InsufficientExtentError, InvalidPeriodError,
                             NoDirectrixError, NoPeriodError)
 from bikegeo.integrate import (ReducedState, canonical_vertex_state,
                                integrate_geodesic, soliton_vertex_state)
+from bikegeo.io import path_to_csv
 
 
 def unit_circle_path(n=20001):
@@ -102,6 +105,26 @@ class TestEnergyResidual:
         p = straight_path(n=4)
         with pytest.raises(DegenerateInputError):
             energy_residual(p, ElasticaParams(A=-1.0, B=0.0, mu=0.0))
+
+
+def fresh_copy(path):
+    """The same samples as a new value, with nothing memoized on it."""
+    return SampledBikePath(path.t, path.front, path.theta, path.kappa,
+                           path.ell, path.drift)
+
+
+def reference_paths(geodesic_cache):
+    """The reference paths of test_windows_match_extended_arrays: vertices
+    in the interior and within half a spacing of either end."""
+    h = 1e-3
+    paths = [geodesic_cache(0.5), geodesic_cache(2.0, 25.0)]
+    for a in (0.5, 2.0, 0.9):
+        T, _L = elliptic_period_advance(a)
+        for f in (-0.4, -0.1, 0.1, 0.4):
+            s = f * h + np.arange(int(round(2 * T / h)) + 1) * h
+            x, y, theta, kappa = geodesic(a, s)
+            paths.append(SampledBikePath(s, np.stack([x, y], axis=1), theta, kappa))
+    return paths
 
 
 class TestVertices:
@@ -240,13 +263,7 @@ class TestVertices:
         # vertices within half a spacing of the first or last sample,
         # on either side of it, read the extrapolated end samples
         h = 1e-3
-        paths = [geodesic_cache(0.5), geodesic_cache(2.0, 25.0)]
-        for a in (0.5, 2.0, 0.9):
-            T, _L = elliptic_period_advance(a)
-            for f in (-0.4, -0.1, 0.1, 0.4):
-                s = f * h + np.arange(int(round(2 * T / h)) + 1) * h
-                x, y, theta, kappa = geodesic(a, s)
-                paths.append(SampledBikePath(s, np.stack([x, y], axis=1), theta, kappa))
+        paths = reference_paths(geodesic_cache)
         paths += [act(RigidMotion.reflection_x(), p) for p in paths]
         noise = np.random.default_rng(3).normal(0.0, 1e-6, len(paths[1]))
         paths.append(SampledBikePath(paths[1].t, paths[1].front, paths[1].theta,
@@ -272,6 +289,55 @@ class TestVertices:
         tail = SampledBikePath(p.t[5000:], p.front[5000:], p.theta[5000:],
                                p.kappa[5000:])
         assert len(find_vertices(tail)) == 0
+
+
+class TestVertexMemo:
+    def test_memoized_and_seeded_reports_equal_fresh_scans(self, geodesic_cache):
+        reflect = RigidMotion.reflection_x()
+        for base in reference_paths(geodesic_cache):
+            for path in (fresh_copy(base), act(reflect, base)):  # kappa > 0, < 0
+                first = find_vertices(path)
+                assert find_vertices(path) is first  # memoized
+                oriented, g = canonical_orient(path)
+                assert g.orientation == (1 if path.kappa[0] > 0 else -1)
+                # the oriented path carries the input's scan, kinds
+                # swapped by a reflection, and reads only its windows
+                fresh = fresh_copy(oriented)
+                seeded = vars(oriented)["_analysis_memo"]["scan"]
+                assert seeded == analysis._curvature_scan(fresh)
+                for got, ref in ((first, find_vertices(fresh_copy(path))),
+                                 (find_vertices(oriented), find_vertices(fresh))):
+                    assert len(ref) > 0
+                    assert got == ref and repr(got) == repr(ref)
+
+    def test_measurements_on_memoized_paths_equal_fresh_ones(self, geodesic_cache):
+        path = act(RigidMotion(0.4, (1.0, -2.0), -1), geodesic_cache(2.0))
+        params = ElasticaParams.from_momentum(2.0)
+        oriented, _g = canonical_orient(path)
+
+        def measure(p, o):
+            return (repr(find_vertices(o)), period_and_advance(o), front_width(o),
+                    back_width(o), fit_elastica_params(p), energy_residual(p, params))
+
+        assert measure(path, oriented) == measure(fresh_copy(path), fresh_copy(oriented))
+
+    def test_memo_is_invisible(self, geodesic_cache):
+        bare = fresh_copy(geodesic_cache(0.5, 13.0))  # two periods
+        memoized = copy.copy(bare)  # the same arrays
+        canonical_orient(memoized)
+        fit_elastica_params(memoized)
+        energy_residual(memoized, ElasticaParams.from_momentum(0.5))
+        assert "_analysis_memo" in vars(memoized)
+        assert "_analysis_memo" not in vars(bare)
+        assert memoized == bare and bare == memoized
+        assert "_analysis_memo" not in [f.name for f in dataclasses.fields(memoized)]
+        assert repr(memoized) == repr(bare)
+        g = RigidMotion(0.3, (1.0, -2.0), -1)
+        moved, moved_bare = act(g, memoized), act(g, bare)
+        assert "_analysis_memo" not in vars(moved)
+        for field in ("t", "front", "theta", "kappa", "ell", "drift"):
+            assert np.array_equal(getattr(moved, field), getattr(moved_bare, field))
+        assert path_to_csv(memoized) == path_to_csv(bare)
 
 
 class TestCanonicalOrient:

@@ -314,7 +314,7 @@ def _array_geodesics(states, t_end, step, ell):
         for s in states])
     px, py, scale = rows[:, 4:].T.copy()
     traj = _rk4(lambda y: _array_flow(y, px, py), rows[:, :4], h, n)
-    energy = _full_hamiltonian(traj, px, py)
+    energy = _full_hamiltonian(traj[..., 2], traj[..., 3], px, py)
     drift = scale * np.max(np.abs(energy - energy[0]), axis=0)
     t = ell * (np.arange(n + 1) * h)
     return [(t, ell * traj[:, j, :2], traj[:, j, 2], traj[:, j, 3] / ell,

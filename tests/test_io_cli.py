@@ -268,7 +268,11 @@ class TestCli:
         out, err = capsys.readouterr()
         if rc:
             assert out == "" and len(err.splitlines()) == 1
-            assert json.loads(err)["error"] == "usage"
+            error = json.loads(err)
+            assert error["error"] == "usage"
+            # the phase bound, stated at the momentum the user gave
+            assert "(1+a)|s|/2 <= 4294967296" in error["message"]
+            assert error["message"].endswith(f" at a = {float(a)}")
             return
         report = dict(field.split("=") for field in out.splitlines()[0].split())
         T, L = closed_forms.elliptic_period_advance(float(a), 1.0)
