@@ -223,25 +223,19 @@ def _memoized(path, key, compute):
     return memo[key]
 
 
-def _curvature_scan(path):
-    """Raw extremum indices and kinds of the extended curvature, and the
-    curvature range; no extrema where kappa is constant to roundoff."""
+def _scan_vertices(path):
+    """The report of :func:`find_vertices`, from one scan of the curvature."""
     hi, lo = float(np.max(path.kappa)), float(np.min(path.kappa))
     krange = hi - lo
     if krange <= 1e-8 * max(1.0, hi, -lo):
-        return [], [], krange
-    return (*_raw_extrema(_extended(path.kappa)), krange)
+        return VertexReport(())
 
-
-def _read_vertices(path):
-    """The vertex report of the path's curvature scan, read off each
-    extremum's three-sample windows."""
-    idx, kinds, krange = _memoized(path, "scan", _curvature_scan)
+    k = _extended(path.kappa)
     x, y = path.front[:, 0], path.front[:, 1]
     entries = []
-    for i, kind in zip(idx, kinds):
+    for i, kind in zip(*_raw_extrema(k)):
         j = i - 1  # extended sample i is sample i - 1 of the path
-        window = _window(path.kappa, j)
+        window = k[i - 1:i + 2].tolist()
         tv, s = _quad_refine(_window(path.t, j), window)
         th = normalize_angle(_quad_value(_window(path.theta, j), s))
         pos = (_quad_value(_window(x, j), s), _quad_value(_window(y, j), s))
@@ -257,37 +251,17 @@ def find_vertices(path):
     curvature is first extended by one quadratically extrapolated sample
     at each end, so a vertex up to half a spacing beyond the first or
     last sample is found too; its time is not clipped to the path.  Time,
-    curvature, frame angle and position are read from each extremum's
-    three samples alone, extrapolated the same way at an end.  Paths
-    whose curvature is constant to roundoff (lines, circles) produce an
-    empty report.
+    frame angle and position are read from each extremum's three
+    samples alone, extrapolated the same way at an end.  Paths whose
+    curvature is constant to roundoff (lines, circles) produce an empty
+    report.
 
-    The curvature scan and the report are memoized on the path, so each
-    path is scanned once however many measurements read its vertices;
-    :func:`canonical_orient` seeds the oriented path with the input's
-    scan.
+    The report is memoized on the path, so each path is scanned once
+    however many measurements read its vertices.
     """
     if len(path) < 5:
         raise DegenerateInputError("need at least 5 samples to find vertices")
-    return _memoized(path, "report", _read_vertices)
-
-
-_OTHER_KIND = {"max": "min", "min": "max"}
-
-
-def _moved(g, path):
-    """act(g, path) with the curvature scan of path carried over.
-
-    A direct motion leaves kappa bit for bit; a reflection negates it
-    exactly, which keeps the extremum indices and the range and swaps
-    the kinds.  The moved path's report then only reads its windows.
-    """
-    idx, kinds, krange = _memoized(path, "scan", _curvature_scan)
-    if g.orientation == -1:
-        kinds = [_OTHER_KIND[kind] for kind in kinds]
-    moved = act(g, path)
-    _memoized(moved, "scan", lambda _moved_path: (idx, kinds, krange))
-    return moved
+    return _memoized(path, "report", _scan_vertices)
 
 
 def _soliton_like(report):
@@ -312,7 +286,7 @@ def _oriented_and_vertices(path):
     ref = report.vertices[0].kappa if len(report) else float(np.median(path.kappa))
     if ref < 0.0:
         motion = RigidMotion.reflection_x()
-        path = _moved(motion, path)
+        path = act(motion, path)
         report = find_vertices(path)
     return path, motion, report
 
@@ -332,10 +306,6 @@ def canonical_orient(path):
     heights; for a soliton the front-track tangent at the endpoint far
     from the apex is used instead (the frame settles onto the asymptote
     exponentially fast there).
-
-    The oriented path carries the input's curvature scan (see
-    :func:`find_vertices`), so measuring it reads only the windows of
-    its vertices.
     """
     work, reflect, report = _oriented_and_vertices(path)
     if len(report) == 0:
@@ -355,7 +325,7 @@ def canonical_orient(path):
         rot = RigidMotion.rotation_about(phi)
         anchor = rot.apply_point(first)
         move = RigidMotion.translation_by(-anchor) @ rot @ reflect
-        return _moved(move, path), move
+        return act(move, path), move
 
     if _soliton_like(report):
         apex_v = report.maxima()[0]
@@ -374,7 +344,7 @@ def canonical_orient(path):
         apex = rot.apply_point(np.asarray(apex_v.position))
         target = np.array([0.0, 2.0 * work.ell])
         move = RigidMotion.translation_by(target - apex) @ rot @ reflect
-        return _moved(move, path), move
+        return act(move, path), move
 
     raise InsufficientExtentError(
         "need two curvature extrema or a soliton apex to orient",

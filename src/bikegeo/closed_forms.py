@@ -240,10 +240,10 @@ def _periodic_parts(a, u, K, p, m):
     return dn, sn2, half_dd, d, S
 
 
-def check_phase(a, s):
+def _check_phase(a, s):
     """Raise ValueError unless every arc length s is finite with
-    (1+a)|s|/2 <= MAX_PHASE, the bound of :func:`geodesic` at momentum a;
-    one read of s rejects nan, inf and phases past the bound."""
+    (1+a)|s|/2 <= MAX_PHASE, the bound of :func:`geodesic` at a momentum
+    a >= 0; one read of s rejects nan, inf and phases past the bound."""
     s_max = MAX_PHASE / (0.5 * (1.0 + a))
     if not np.all(np.abs(s) <= s_max):
         raise ValueError(f"arc lengths s must be finite with (1+a)|s|/2 <= "
@@ -274,7 +274,7 @@ def geodesic(a, s):
     """
     a = _momentum(a)
     s = np.asarray(s, dtype=float)
-    check_phase(a, s)
+    _check_phase(a, s)
     if a == 0.0:
         return (-np.sin(s), -2.0 * np.sin(0.5 * s) ** 2, 0.5 * math.pi + s,
                 np.ones_like(s))

@@ -143,25 +143,9 @@ class RigidMotion:
         return np.array([[c, s], [s, -c]])
 
     def apply_point(self, p):
-        """Apply to a point or an (..., 2) array of points.
-
-        Written out as 2x2 arithmetic, c x - s y + tx and s x + c y + ty
-        with y negated first for a reflection: no matrix product, so the
-        result does not depend on whether a BLAS kernel fuses a
-        multiply-add.
-        """
+        """Apply to a point or an (..., 2) array of points."""
         p = np.asarray(p, dtype=float)
-        if p.shape[-1:] != (2,):
-            raise ValueError(f"points must have shape (..., 2), got {p.shape}")
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        x, y = p[..., 0], p[..., 1]
-        if self.orientation == -1:
-            y = -y
-        tx, ty = self.translation
-        out = np.empty(p.shape)
-        out[..., 0] = c * x - s * y + tx
-        out[..., 1] = s * x + c * y + ty
-        return out
+        return p @ self.linear_matrix.T + np.asarray(self.translation)
 
     def compose(self, other):
         """self after other: (self.compose(other))(p) = self(other(p))."""

@@ -219,8 +219,6 @@ def pressurized_fit(front, t=None, spacing=FIT_SPACING):
     kdd = numdiff.deriv2(kappa, tt)
     sl = numdiff.interior(f.shape[0], 5)
     k = kappa[sl]
-    # rcond truncates the noise-level singular direction of constant-
-    # curvature input, yielding the minimum-norm (A, C) there
-    A, C = numdiff.affine_lstsq(k, -(kdd[sl] + 0.5 * k**3), rcond=1e-6)
+    A, C = numdiff.affine_lstsq(k, -(kdd[sl] + 0.5 * k**3))
     defect = np.abs(kdd[sl] + 0.5 * k**3 + A * k - C)
     return A, C, float(np.max(defect))

@@ -262,6 +262,10 @@ def _sample_geodesic(state, t_end, step, ell, flow):
         ptheta, px, py, drift_scale = state.ptheta, state.px, state.py, 1.0
     x, y, theta, ptheta, px, py = map(
         float, (state.x / ell, state.y / ell, state.theta, ptheta, px, py))
+    # the phase bound of the closed form, on the momentum as given: from
+    # a ~ 1e14 the rounding of a state's momenta alone moves 2H off the
+    # shell, and the flow divides the momenta by sqrt(2H)
+    closed_forms._check_phase(math.hypot(px, py), n * h)
     speed2 = 2.0 * _full_hamiltonian(theta, ptheta, px, py)
     if not (abs(speed2 - 1.0) <= 1e-6):
         raise NotUnitSpeedError(f"front speed^2 = 2H = {float(speed2)!r}, "
@@ -296,6 +300,8 @@ def integrate_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
     reduced state, of H for a cotangent state.  The samples come from
     the elliptic closed form (:func:`closed_forms.geodesic`); states
     within 1e-6 of the unit shell are accepted and followed exactly.
+    An arc length t_end / ell past the phase bound of the closed form at
+    the momentum |(px, py)| raises ValueError naming that momentum.
     """
     return _sample_geodesic(state, t_end, step, ell, _exact_geodesic)
 
@@ -304,13 +310,13 @@ def rk4_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
     """:func:`integrate_geodesic` by fixed-step RK4 of the flow.
 
     The independent oracle of the closed form, which only the checks
-    use: same states, grid, budgets and drift, with the
-    discretization error of RK4 and a DivergenceError where a state
-    goes non-finite.  On the soliton its frame-angle error grows like
-    e^t, because the tail approaches the unstable fixed point theta = pi
-    of the line's lift: at step 1e-3 it is 3.8e-4 at t = 25 while the
-    front is within 1e-6.  Past t ~ 20 on a soliton it is an oracle for
-    positions only.
+    use: same states, grid, budgets (the phase bound among them) and
+    drift, with the discretization error of RK4 and a DivergenceError
+    where a state goes non-finite.  On the soliton its frame-angle error
+    grows like e^t, because the tail approaches the unstable fixed point
+    theta = pi of the line's lift: at step 1e-3 it is 3.8e-4 at t = 25
+    while the front is within 1e-6.  Past t ~ 20 on a soliton it is an
+    oracle for positions only.
     """
     return _sample_geodesic(state, t_end, step, ell, _geodesic_rk4)
 

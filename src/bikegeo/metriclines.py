@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import LINE, SOLITON, ElasticaClass
 # unused here; bound so that bench/spans.py can wrap them at this module
 from .analysis import canonical_orient, period_and_advance  # noqa: F401
-from .closed_forms import check_phase, elliptic_period_advance
+from .closed_forms import elliptic_period_advance
 from .core import ConfigPoint, SampledBikePath, _ell_value
 from .errors import EndpointMismatchError, InvalidPeriodError
 from .integrate import DEFAULT_STEP, ReducedState, _grid, integrate_geodesic
@@ -137,10 +137,8 @@ def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):
     """Build the shortcut at the threshold N for the geodesic with
     momentum a and compare lengths.
 
-    (T, L) come from the elliptic closed form, and N periods must lie
-    within the phase bound of :func:`closed_forms.geodesic` at a, else
-    a ValueError names a as given.  The geodesic is then sampled from
-    its canonical vertex over exactly N periods
+    (T, L) come from the elliptic closed form.  The geodesic is then
+    sampled from its canonical vertex over exactly N periods
     (:func:`integrate.integrate_geodesic`), and the shortcut must land on
     the same configuration (N*L, 0, pi/2) within 1e-3, which checks the
     sampled closed form against the elliptic (T, L).  The independent
@@ -150,10 +148,6 @@ def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):
     ell = _ell_value(ell)
     T, L = elliptic_period_advance(a, ell)
     N = shortcut_threshold(T, L, ell)
-    # the phase bound, on the a given: the vertex state below loses unit
-    # speed to rounding from a ~ 1e14, and integrate_geodesic checks
-    # momenta it has rescaled by sqrt(2H)
-    check_phase(float(a), N * T / ell)
     # vertex state in physical units: curvature scales as 1/ell
     start = ReducedState(0.0, 0.0, 0.5 * math.pi, (1.0 + float(a)) / ell, float(a))
     geo = integrate_geodesic(start, N * T, step, ell)

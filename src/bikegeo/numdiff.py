@@ -12,6 +12,11 @@ import math
 
 import numpy as np
 
+# relative cutoff of the smaller singular value in affine_lstsq, as the
+# rcond of np.linalg.lstsq: it truncates the noise-level singular
+# direction of constant-curvature input to the minimum-norm solution
+_RCOND = 1e-6
+
 
 def is_uniform(t, rtol=1e-8):
     """True if the grid spacing is constant to relative tolerance."""
@@ -101,14 +106,14 @@ def curvature_from_track(points, t):
     return num / speed2**1.5
 
 
-def affine_lstsq(x, rhs, rcond=1e-6):
+def affine_lstsq(x, rhs):
     """Least-squares (A, B) with rhs ~ A x - B, in closed form.
 
-    Gives what np.linalg.lstsq gives for the columns [x, -1] with the
-    same rcond.  Their 2x2 Gram matrix [[sum x^2, -sum x], [-sum x, n]]
+    Gives what np.linalg.lstsq gives for the columns [x, -1] with
+    rcond = 1e-6.  Their 2x2 Gram matrix [[sum x^2, -sum x], [-sum x, n]]
     has determinant n Sxx, Sxx the centered sum of squares, so its
     eigenvalues lam1 >= lam2 = n Sxx / lam1 are the squared singular
-    values.  Where sqrt(lam2 / lam1) > rcond the fit is the centered
+    values.  Where sqrt(lam2 / lam1) > 1e-6 the fit is the centered
     one, A = Sxr / Sxx and B = A mean(x) - mean(rhs).  Otherwise, as in
     lstsq, the smaller singular value counts as zero and the
     minimum-norm solution along the unit top eigenvector v of the Gram
@@ -124,7 +129,7 @@ def affine_lstsq(x, rhs, rcond=1e-6):
     g11, g12 = sxx + n * xm * xm, -n * xm
     half = 0.5 * (g11 + n)
     lam1 = half + math.sqrt(max(half * half - n * sxx, 0.0))
-    if n * sxx > (rcond * lam1) ** 2:
+    if n * sxx > (_RCOND * lam1) ** 2:
         A = float(dx @ (rhs - rm)) / sxx
         return A, A * xm - rm
     # of the two forms of the top eigenvector, the longer one

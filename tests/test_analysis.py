@@ -292,7 +292,7 @@ class TestVertices:
 
 
 class TestVertexMemo:
-    def test_memoized_and_seeded_reports_equal_fresh_scans(self, geodesic_cache):
+    def test_memoized_reports_equal_fresh_scans(self, geodesic_cache):
         reflect = RigidMotion.reflection_x()
         for base in reference_paths(geodesic_cache):
             for path in (fresh_copy(base), act(reflect, base)):  # kappa > 0, < 0
@@ -300,13 +300,10 @@ class TestVertexMemo:
                 assert find_vertices(path) is first  # memoized
                 oriented, g = canonical_orient(path)
                 assert g.orientation == (1 if path.kappa[0] > 0 else -1)
-                # the oriented path carries the input's scan, kinds
-                # swapped by a reflection, and reads only its windows
-                fresh = fresh_copy(oriented)
-                seeded = vars(oriented)["_analysis_memo"]["scan"]
-                assert seeded == analysis._curvature_scan(fresh)
+                report = find_vertices(oriented)
+                assert find_vertices(oriented) is report
                 for got, ref in ((first, find_vertices(fresh_copy(path))),
-                                 (find_vertices(oriented), find_vertices(fresh))):
+                                 (report, find_vertices(fresh_copy(oriented)))):
                     assert len(ref) > 0
                     assert got == ref and repr(got) == repr(ref)
 

@@ -279,6 +279,16 @@ class TestCli:
         assert int(report["N_star"]) == metriclines.shortcut_threshold(T, L)
         assert float(report["margin"]) > 0.0
 
+    @pytest.mark.parametrize("a, t_end", [("3e9", "100"), ("1e14", "1")])
+    def test_geodesic_past_the_phase_bound(self, tmp_path, capsys, a, t_end):
+        # the bound is checked on the a given, before the unit-speed gate
+        # that the default vertex state fails from a ~ 1e14
+        assert cli.main(["geodesic", "--a", a, "--t-end", t_end,
+                         "--output", str(tmp_path / "g.csv")]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert "(1+a)|s|/2 <= 4294967296" in error["message"]
+        assert error["message"].endswith(f" at a = {float(a)}")
+
     def test_product_never_runs_rk4(self, tmp_path, monkeypatch):
         monkeypatch.setattr(geo, "_geodesic_rk4",
                             lambda *args: pytest.fail("RK4 ran on a product path"))
