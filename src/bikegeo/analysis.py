@@ -81,23 +81,23 @@ class ElasticaClass:
     params: ElasticaParams
 
 
-def classify(a, kappa0, tol=CLASS_TOL):
+def classify(a, kappa0):
     """Classify the front track of the geodesic with momentum a and
     initial curvature kappa0.
 
     Circles have a = 0, lines kappa == 0, solitons a = 1 with nonzero
-    curvature; otherwise the track is a non-inflectional elastica,
-    wide for a < 1 and narrow for a > 1.
+    curvature, each within CLASS_TOL; otherwise the track is a
+    non-inflectional elastica, wide for a < 1 and narrow for a > 1.
     """
     params = ElasticaParams.from_momentum(a)
     a, kappa0 = params.a, float(kappa0)
     if not math.isfinite(kappa0):
         raise ValueError(f"initial curvature kappa0 = {kappa0!r} must be finite")
-    if a <= tol:
+    if a <= CLASS_TOL:
         return ElasticaClass(CIRCLE, params)
-    if abs(kappa0) <= tol:
+    if abs(kappa0) <= CLASS_TOL:
         return ElasticaClass(LINE, params)
-    if abs(a - 1.0) <= tol:
+    if abs(a - 1.0) <= CLASS_TOL:
         return ElasticaClass(SOLITON, params)
     if a < 1.0:
         return ElasticaClass(WIDE_NIE, params)
@@ -282,7 +282,7 @@ def _oriented_and_vertices(path):
     (identity when none was needed).
     """
     report = find_vertices(path)
-    motion = RigidMotion.identity()
+    motion = RigidMotion()
     ref = report.vertices[0].kappa if len(report) else float(np.median(path.kappa))
     if ref < 0.0:
         motion = RigidMotion.reflection_x()
@@ -322,7 +322,7 @@ def canonical_orient(path):
         last = np.asarray(maxima[-1].position)
         chord = last - first
         phi = -math.atan2(chord[1], chord[0])
-        rot = RigidMotion.rotation_about(phi)
+        rot = RigidMotion(phi)
         anchor = rot.apply_point(first)
         move = RigidMotion.translation_by(-anchor) @ rot @ reflect
         return act(move, path), move
@@ -340,7 +340,7 @@ def canonical_orient(path):
         else:
             tangent = work.front[1] - work.front[0]
         phi = -math.atan2(tangent[1], tangent[0])
-        rot = RigidMotion.rotation_about(phi)
+        rot = RigidMotion(phi)
         apex = rot.apply_point(np.asarray(apex_v.position))
         target = np.array([0.0, 2.0 * work.ell])
         move = RigidMotion.translation_by(target - apex) @ rot @ reflect
@@ -468,16 +468,16 @@ def fit_elastica_params(path):
     return ElasticaParams(A, B, mu, a)
 
 
-def strip_width(points, n_dir=720):
+def strip_width(points):
     """Brute-force width: infimum over directions of the projected extent.
 
-    Independent oracle for the width measurements: scans directions on a
-    half-circle grid and refines the minimum by parabolic interpolation.
+    Independent oracle for the width measurements: scans 720 directions
+    on a half-circle grid and refines the minimum by parabolic interpolation.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be (n, 2)")
-    phis = np.linspace(0.0, math.pi, n_dir, endpoint=False)
+    phis = np.linspace(0.0, math.pi, 720, endpoint=False)
     dirs = np.stack([np.cos(phis), np.sin(phis)], axis=0)
     proj = points @ dirs
     extents = proj.max(axis=0) - proj.min(axis=0)
@@ -489,9 +489,9 @@ def strip_width(points, n_dir=720):
         return float(p.max() - p.min())
 
     h = phis[1] - phis[0]
-    e0 = extents[(j - 1) % n_dir]
+    e0 = extents[(j - 1) % 720]
     e1 = extents[j]
-    e2 = extents[(j + 1) % n_dir]
+    e2 = extents[(j + 1) % 720]
     denom = e0 - 2.0 * e1 + e2
     if denom > 0:
         s = float(np.clip(0.5 * (e0 - e2) / denom, -1.0, 1.0))

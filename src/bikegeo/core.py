@@ -117,16 +117,6 @@ class RigidMotion:
         object.__setattr__(self, "translation", (float(tx), float(ty)))
 
     @classmethod
-    def identity(cls):
-        return cls()
-
-    @classmethod
-    def rotation_about(cls, angle, center=(0.0, 0.0)):
-        c, s = math.cos(angle), math.sin(angle)
-        cx, cy = center
-        return cls(angle, (cx - (c * cx - s * cy), cy - (s * cx + c * cy)))
-
-    @classmethod
     def translation_by(cls, v):
         return cls(0.0, (float(v[0]), float(v[1])))
 
@@ -161,7 +151,7 @@ class RigidMotion:
         return RigidMotion(-self.orientation * self.rotation, (-w[0], -w[1]), self.orientation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledBikePath:
     """A horizontal path sampled along the front-track arc length.
 
@@ -173,7 +163,8 @@ class SampledBikePath:
     ell     : frame length
     drift   : optional conserved-quantity drift reported by an integrator
 
-    Arrays are copied and frozen; the type is an immutable value.
+    Arrays are copied and frozen; the type is an immutable value, equal
+    to another path with equal arrays, frame length and drift.
     """
 
     t: np.ndarray
@@ -203,6 +194,13 @@ class SampledBikePath:
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "ell", _ell_value(self.ell))
+
+    def __eq__(self, other):
+        if not isinstance(other, SampledBikePath):
+            return NotImplemented
+        return (self.ell == other.ell and self.drift == other.drift
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("t", "front", "theta", "kappa")))
 
     def __len__(self):
         return self.t.size
@@ -257,13 +255,13 @@ def flip(p, ell=1.0):
     return ConfigPoint(2.0 * b[0] - p.x, 2.0 * b[1] - p.y, p.theta + math.pi)
 
 
-def act(g, obj, ell=None):
-    """Apply a rigid motion to a placement, a path, or raw points.
+def act(g, obj):
+    """Apply a rigid motion to a placement or a path.
 
     On placements the frame angle transforms as theta -> theta + rotation
     for direct motions and theta -> -theta + rotation for reflections;
     this is the unique law under which the derived back wheel maps by g
-    as a plane point.
+    as a plane point.  Raw points raise TypeError: use g.apply_point.
     """
     if isinstance(obj, ConfigPoint):
         f = g.apply_point(obj.front)
@@ -274,7 +272,8 @@ def act(g, obj, ell=None):
         theta = g.orientation * obj.theta + g.rotation
         kappa = g.orientation * obj.kappa
         return SampledBikePath(obj.t, front, theta, kappa, obj.ell, obj.drift)
-    return g.apply_point(obj)
+    raise TypeError(f"act takes a ConfigPoint or a SampledBikePath, not "
+                    f"{type(obj).__name__}; use RigidMotion.apply_point for points")
 
 
 def path_length(path):
@@ -326,28 +325,24 @@ def default_horizontality_tol(path):
     return max(1e-12, 25.0 * max(1.0, path.ell) * (1.0 + kmax) ** 2 * h * h)
 
 
-def validate_path(path, h_tol=None, s_tol=None, check_speed=True):
-    """Check the horizontality (and optionally unit-speed) invariants.
+def validate_path(path):
+    """Check the horizontality and unit-speed invariants, both against
+    :func:`default_horizontality_tol`.
 
-    Raises HorizontalityError listing the worst residual on failure.
+    Raises HorizontalityError naming the worst residual on failure.
     Returns (max horizontality residual, max speed error).
     """
-    if h_tol is None:
-        h_tol = default_horizontality_tol(path)
+    tol = default_horizontality_tol(path)
     res = horizontality_residuals(path)
     worst = float(res.max()) if res.size else 0.0
-    if worst > h_tol:
+    if worst > tol:
         raise HorizontalityError(
-            f"no-skid residual {worst:.3e} exceeds tolerance {h_tol:.3e}")
-    smax = 0.0
-    if check_speed:
-        if s_tol is None:
-            s_tol = h_tol
-        sp = speed_errors(path)
-        smax = float(sp.max()) if sp.size else 0.0
-        if smax > s_tol:
-            raise HorizontalityError(
-                f"front speed deviates from 1 by {smax:.3e} (tol {s_tol:.3e})")
+            f"no-skid residual {worst:.3e} exceeds tolerance {tol:.3e}")
+    sp = speed_errors(path)
+    smax = float(sp.max()) if sp.size else 0.0
+    if smax > tol:
+        raise HorizontalityError(
+            f"front speed deviates from 1 by {smax:.3e} (tol {tol:.3e})")
     return worst, smax
 
 

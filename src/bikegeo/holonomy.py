@@ -36,12 +36,12 @@ class TransportSample:
     theta_out: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobiusMap:
     """A linear fractional transformation of the fiber circle, stored as
     the real 2x2 matrix acting on (sin(theta/2), cos(theta/2)), the chart
     of the lift's transport product, scaled to |det| = 1 with the sign
-    of det kept."""
+    of det kept.  Maps are equal when their stored matrices are."""
 
     chart_matrix: np.ndarray
 
@@ -58,9 +58,10 @@ class MobiusMap:
         m.setflags(write=False)
         object.__setattr__(self, "chart_matrix", m)
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(2))
+    def __eq__(self, other):
+        if not isinstance(other, MobiusMap):
+            return NotImplemented
+        return np.array_equal(self.chart_matrix, other.chart_matrix)
 
     def apply(self, theta):
         """Image angle(s) of theta, wrapped to (-pi, pi]."""
@@ -174,9 +175,11 @@ FIT_SPACING = 0.02
 def pressurized_fit(front, t=None, spacing=FIT_SPACING):
     """Least-squares fit of kappa'' + kappa^3/2 + A*kappa = C.
 
-    front : (n, 2) arc-length-sampled plane curve (a SampledBikePath's
-    front track, or any curve with t supplied).  Returns (A, C, residual)
-    with residual the worst absolute defect over interior samples.
+    front : a SampledBikePath, whose front track is fitted against its
+    arc length t, or an (n, 2) arc-length-sampled plane curve with its
+    arc lengths t, which an array front must supply.  Returns
+    (A, C, residual) with residual the worst absolute defect over
+    interior samples.
 
     Curvature and its second derivative come from finite differences on
     a grid no finer than ``spacing``, and (A, C) from the closed-form
@@ -184,8 +187,8 @@ def pressurized_fit(front, t=None, spacing=FIT_SPACING):
     np.linalg.lstsq solution with rcond = 1e-6); constant-curvature
     input leaves (A, C) underdetermined and the minimum-norm solution
     is returned.
-    A non-finite front or t, a t of another length, or a t that is not
-    strictly increasing raises ValueError.
+    A non-finite front or t, a missing t or one of another length, or a
+    t that is not strictly increasing raises ValueError.
     """
     if isinstance(front, SampledBikePath):
         t = front.t
@@ -195,9 +198,6 @@ def pressurized_fit(front, t=None, spacing=FIT_SPACING):
         raise ValueError("front must be an (n, 2) array")
     if not np.isfinite(front).all():
         raise ValueError("front must be finite")
-    if t is None:
-        chords = np.linalg.norm(np.diff(front, axis=0), axis=1)
-        t = np.concatenate([[0.0], np.cumsum(chords)])
     t = np.asarray(t, dtype=float)
     if t.shape != front.shape[:1] or not np.isfinite(t).all():
         raise ValueError(f"t must be finite, one value per front sample "

@@ -277,15 +277,15 @@ def _sample_geodesic(state, t_end, step, ell, flow):
     return SampledBikePath(t, ell * xy, th, pth / ell, ell, drift)
 
 
-def integrate_geodesics(states, t_end, step=DEFAULT_STEP, ell=1.0):
-    """Sample a batch of geodesics on one time grid, one state at a
-    time; see :func:`integrate_geodesic`.  The batch budget is checked
-    before anything is evaluated.  Returns a list of SampledBikePath.
+def integrate_geodesics(states, t_end, step=DEFAULT_STEP):
+    """Sample a batch of geodesics of frame length 1 on one time grid,
+    one state at a time; see :func:`integrate_geodesic`.  The batch
+    budget is checked before anything is evaluated.  Returns a list of
+    SampledBikePath.
     """
-    ell = _ell_value(ell)
     if states:
-        _grid(t_end / ell, step / ell, len(states))
-    return [integrate_geodesic(s, t_end, step, ell) for s in states]
+        _grid(t_end, step, len(states))
+    return [integrate_geodesic(s, t_end, step) for s in states]
 
 
 def integrate_geodesic(state, t_end, step=DEFAULT_STEP, ell=1.0):
@@ -353,19 +353,17 @@ class FrontTrackSpec:
             t0=float(t0), t1=float(t1), arc_length=True)
 
     @classmethod
-    def circle(cls, radius=1.0, t0=0.0, t1=None, center=(0.0, 0.0)):
-        """Counterclockwise circle, parametrized by arc length."""
+    def circle(cls, radius, t0, t1):
+        """Counterclockwise circle about the origin, parametrized by arc
+        length on [t0, t1]; arc length 0 is the point (radius, 0)."""
         r = float(radius)
-        cx, cy = center
-        if not (0.0 < r < math.inf and math.isfinite(cx) and math.isfinite(cy)):
-            raise ValueError("radius must be finite and positive, center finite")
-        if t1 is None:
-            t1 = t0 + 2.0 * math.pi * r
+        if not 0.0 < r < math.inf:
+            raise ValueError("radius must be finite and positive")
 
         def curve(t):
             ang = np.asarray(t, dtype=float) / r
             return np.stack(np.broadcast_arrays(
-                cx + r * np.cos(ang), cy + r * np.sin(ang)), axis=-1)
+                r * np.cos(ang), r * np.sin(ang)), axis=-1)
 
         def derivative(t):
             ang = np.asarray(t, dtype=float) / r

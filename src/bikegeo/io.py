@@ -76,12 +76,6 @@ class SvgScene:
 
     def __init__(self):
         self._elements = []
-        self._points = []
-
-    def _track_points(self, pts):
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        if pts.size:
-            self._points.append(pts)
 
     #: polylines are decimated to this many points; far below canvas
     #: resolution there is nothing to gain from denser sampling
@@ -92,22 +86,22 @@ class SvgScene:
         if pts.shape[0] > self.MAX_POLYLINE_POINTS:
             idx = np.linspace(0, pts.shape[0] - 1, self.MAX_POLYLINE_POINTS)
             pts = pts[np.round(idx).astype(int)]
-        self._track_points(pts)
         self._elements.append(("polyline", pts, color, width, dash, opacity))
 
     def segment(self, p0, p1, color, width=2.0, dash=None):
         self.polyline(np.array([p0, p1]), color, width, dash)
 
-    def arrow(self, base, tip, color=FRAME_COLOR, width=2.0):
-        base = np.asarray(base, dtype=float)
-        tip = np.asarray(tip, dtype=float)
-        self._track_points(np.stack([base, tip]))
-        self._elements.append(("arrow", np.stack([base, tip]), color, width, None, 1.0))
+    def arrow(self, base, tip):
+        """Frame arrow from base to tip, in FRAME_COLOR at width 2."""
+        pts = np.stack([np.asarray(base, dtype=float), np.asarray(tip, dtype=float)])
+        self._elements.append(("arrow", pts, FRAME_COLOR, 2.0, None, 1.0))
 
     def _transform(self):
-        if not self._points:
-            return lambda p: p, 1.0
-        allpts = np.concatenate(self._points, axis=0)
+        """World-to-screen map fitting every element onto the canvas."""
+        pts = [e[1] for e in self._elements if e[1].size]
+        if not pts:
+            return lambda p: p
+        allpts = np.concatenate(pts, axis=0)
         lo = allpts.min(axis=0)
         hi = allpts.max(axis=0)
         span = np.maximum(hi - lo, 1e-9)
@@ -123,14 +117,14 @@ class SvgScene:
             # flip y: SVG grows downward
             return np.stack([center[0] + q[..., 0], center[1] - q[..., 1]], axis=-1)
 
-        return world_to_screen, s
+        return world_to_screen
 
     @staticmethod
     def _fmt(x):
         return f"{x:.3f}"
 
     def render(self):
-        to_screen, _scale = self._transform()
+        to_screen = self._transform()
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{CANVAS_W}" '
             f'height="{CANVAS_H}" viewBox="0 0 {CANVAS_W} {CANVAS_H}">',
@@ -167,23 +161,12 @@ class SvgScene:
         return "\n".join(parts) + "\n"
 
 
-def path_scene(path, vertices=None, directrix_y=None, arrow_scale=1.0):
-    """Standard scene for one path: front and back tracks, optional
-    dashed directrix and frame arrows at the given vertices."""
+def path_scene(path):
+    """Standard scene for one path: its front and back tracks.  The
+    ``fig-geod`` preset adds the directrix and frame arrows."""
     scene = SvgScene()
-    if directrix_y is not None:
-        x0, x1 = float(path.front[:, 0].min()), float(path.front[:, 0].max())
-        pad = 0.05 * max(x1 - x0, 1.0)
-        scene.segment((x0 - pad, directrix_y), (x1 + pad, directrix_y),
-                      DIRECTRIX_COLOR, 1.5, dash="8 6")
     scene.polyline(path.front, FRONT_COLOR, 2.0)
     scene.polyline(path.back, BACK_COLOR, 2.0)
-    if vertices is not None:
-        for v in vertices:
-            tip = np.asarray(v.position)
-            base = tip - arrow_scale * path.ell * np.array(
-                [math.cos(v.theta), math.sin(v.theta)])
-            scene.arrow(base, tip)
     return scene
 
 

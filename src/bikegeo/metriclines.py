@@ -24,7 +24,7 @@ from .analysis import LINE, SOLITON, ElasticaClass
 # unused here; bound so that bench/spans.py can wrap them at this module
 from .analysis import canonical_orient, period_and_advance  # noqa: F401
 from .closed_forms import elliptic_period_advance
-from .core import ConfigPoint, SampledBikePath, _ell_value
+from .core import SampledBikePath, _ell_value
 from .errors import EndpointMismatchError, InvalidPeriodError
 from .integrate import DEFAULT_STEP, ReducedState, _grid, integrate_geodesic
 
@@ -73,25 +73,17 @@ def _arc_samples(length, step):
     return np.linspace(0.0, length, n + 1)
 
 
-def build_shortcut(start, N, L, ell=1.0, step=DEFAULT_STEP, expected_end=None,
-                   tol=1e-4):
-    """Assemble the competitor path between vertex configurations.
+def build_shortcut(N, L, ell=1.0, step=DEFAULT_STEP):
+    """Assemble the competitor path from the canonical vertex placement
+    (front at the origin, frame angle pi/2) to (N*L, 0, pi/2).
 
-    start must be the canonical maximum-curvature vertex placement
-    (front at the origin, frame angle pi/2).  The path is: quarter
-    circle of radius ell clockwise with the back wheel pinned, straight
-    ride east of length N*L, quarter turn counterclockwise.  Total
-    front-track length pi*ell + N*L; the construction is horizontal by
-    design and is sampled at the integration step for fair comparison.
-
-    When expected_end is given, the terminal placement is checked
-    against it and EndpointMismatchError raised beyond tol.
+    The path is: quarter circle of radius ell clockwise with the back
+    wheel pinned, straight ride east of length N*L, quarter turn
+    counterclockwise.  Total front-track length pi*ell + N*L; the
+    construction is horizontal by design and is sampled at the
+    integration step for fair comparison.
     """
     ell = _ell_value(ell)
-    if not (abs(start.x) < 1e-9 and abs(start.y) < 1e-9
-            and abs(start.theta - 0.5 * math.pi) < 1e-9):
-        raise ValueError("start must be the canonical vertex placement "
-                         "(origin, frame angle pi/2)")
     if N < 1:
         raise ValueError("N must be a positive integer")
     L = float(L)
@@ -123,14 +115,7 @@ def build_shortcut(start, N, L, ell=1.0, step=DEFAULT_STEP, expected_end=None,
     front = np.concatenate([f1, f2[1:], f3[1:]], axis=0)
     theta = np.concatenate([th1, th2[1:], th3[1:]])
     kappa = np.concatenate([k1, k2[1:], k3[1:]])
-    path = SampledBikePath(t, front, theta, kappa, ell)
-
-    if expected_end is not None:
-        err = path.config(len(path) - 1).gap(expected_end)
-        if err > tol:
-            raise EndpointMismatchError(
-                f"shortcut endpoint off by {err:.3e} (tol {tol:.1e})")
-    return path
+    return SampledBikePath(t, front, theta, kappa, ell)
 
 
 def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):
@@ -140,10 +125,12 @@ def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):
     (T, L) come from the elliptic closed form.  The geodesic is then
     sampled from its canonical vertex over exactly N periods
     (:func:`integrate.integrate_geodesic`), and the shortcut must land on
-    the same configuration (N*L, 0, pi/2) within 1e-3, which checks the
-    sampled closed form against the elliptic (T, L).  The independent
-    RK4 landing is :func:`verify.check_shortcut_grid`.  Returns
-    (report, geodesic_path, shortcut_path).
+    the same configuration (N*L, 0, pi/2) within 1e-3
+    (:meth:`core.ConfigPoint.gap`), which checks the sampled closed
+    form against the elliptic (T, L); a larger gap raises
+    EndpointMismatchError.  The independent RK4 landing is
+    :func:`verify.check_shortcut_grid`.  Returns (report,
+    geodesic_path, shortcut_path).
     """
     ell = _ell_value(ell)
     T, L = elliptic_period_advance(a, ell)
@@ -151,8 +138,10 @@ def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):
     # vertex state in physical units: curvature scales as 1/ell
     start = ReducedState(0.0, 0.0, 0.5 * math.pi, (1.0 + float(a)) / ell, float(a))
     geo = integrate_geodesic(start, N * T, step, ell)
-    end = geo.config(len(geo) - 1)
-    cut = build_shortcut(ConfigPoint(0.0, 0.0, 0.5 * math.pi), N, L, ell,
-                         step, expected_end=end, tol=1e-3)
+    cut = build_shortcut(N, L, ell, step)
+    err = cut.config(len(cut) - 1).gap(geo.config(len(geo) - 1))
+    if err > 1e-3:
+        raise EndpointMismatchError(
+            f"shortcut endpoint off by {err:.3e} (tol 1.0e-03)")
     report = ShortcutReport(T, L, ell, N, N * T, math.pi * ell + N * L)
     return report, geo, cut

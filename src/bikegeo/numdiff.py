@@ -18,14 +18,14 @@ import numpy as np
 _RCOND = 1e-6
 
 
-def is_uniform(t, rtol=1e-8):
-    """True if the grid spacing is constant to relative tolerance."""
+def is_uniform(t):
+    """True if the grid spacing is constant to a relative 1e-8."""
     t = np.asarray(t, dtype=float)
     if t.size < 2:
         return False
     dt = np.diff(t)
     h = dt[0]
-    return h > 0 and np.all(np.abs(dt - h) <= rtol * abs(h))
+    return h > 0 and np.all(np.abs(dt - h) <= 1e-8 * abs(h))
 
 
 def deriv1_uniform(y, h):

@@ -52,37 +52,39 @@ def _random_unit_speed_states(rng, n):
     return states
 
 
-def _random_immersed_track(rng, n_ctrl=8, scale=3.0, min_speed=0.25):
-    """Random C^2 spline front track, rejecting near-cusps."""
+def _random_immersed_track(rng):
+    """Random C^2 spline front track through 8 control points, rejecting
+    near-cusps (a speed below a quarter of the mean)."""
     for _ in range(64):
-        pts = np.cumsum(rng.normal(0.0, scale / n_ctrl, size=(n_ctrl, 2)), axis=0)
-        u = np.linspace(0.0, 1.0, n_ctrl)
+        pts = np.cumsum(rng.normal(0.0, 3.0 / 8, size=(8, 2)), axis=0)
+        u = np.linspace(0.0, 1.0, 8)
         sp = CubicSpline(u, pts, axis=0)
         track = geo.FrontTrackSpec.from_spline(sp, 0.0, 1.0)
         tt = np.linspace(0.0, 1.0, 2001)
         d = track.derivative(tt)
         speed = np.hypot(d[:, 0], d[:, 1])
-        if speed.min() > min_speed * speed.mean():
+        if speed.min() > 0.25 * speed.mean():
             return track
     raise RuntimeError("could not draw an immersed random track")
 
 
-def _spline_from_path(path, knot_stride=10, arc_length=True):
-    """Front-track spec interpolating a sampled path (knots thinned to
-    keep the spline's C^2 breaks sparse relative to integration steps)."""
+def _spline_from_path(path, knot_stride=10):
+    """Arc-length front-track spec interpolating a sampled path (knots
+    thinned to keep the spline's C^2 breaks sparse relative to
+    integration steps)."""
     idx = np.arange(0, len(path), knot_stride)
     if idx[-1] != len(path) - 1:
         idx = np.append(idx, len(path) - 1)
     sp = CubicSpline(path.t[idx], path.front[idx], axis=0)
     return geo.FrontTrackSpec.from_spline(sp, float(path.t[0]), float(path.t[-1]),
-                                          arc_length=arc_length)
+                                          arc_length=True)
 
 
-def _wide_narrow_paths(step=1e-3):
+def _wide_narrow_paths():
     """Canonical geodesics on the width grid, batched on one time grid."""
     grid = WIDE_GRID + NARROW_GRID
     states = [geo.canonical_vertex_state(a) for a in grid]
-    paths = geo.integrate_geodesics(states, 25.0, step)
+    paths = geo.integrate_geodesics(states, 25.0, 1e-3)
     return dict(zip(grid, paths))
 
 
@@ -573,8 +575,8 @@ def check_transport_composition_reparam():
                 f"{re_gap:.2e} (tol 1e-8)")
 
 
-def _mobius_residual(track, rng_offset=0.0, step=2e-4):
-    thetas = np.linspace(-math.pi, math.pi, 12, endpoint=False) + 0.05 + rng_offset
+def _mobius_residual(track, step):
+    thetas = np.linspace(-math.pi, math.pi, 12, endpoint=False) + 0.05
     out = _theta_rk4(track, thetas, step)
     samples = [holonomy.TransportSample(a, b) for a, b in zip(thetas, out)]
     _mob, resid = holonomy.fit_mobius(samples)
@@ -589,7 +591,7 @@ def check_mobius_universal():
     front = geo.integrate_geodesic(geo.canonical_vertex_state(0.6), 8.0, 1e-3)
     tracks.append((_spline_from_path(front), 1e-3))
     for track, step in tracks:
-        resid, lift_gap = _mobius_residual(track, step=step)
+        resid, lift_gap = _mobius_residual(track, step)
         worst, gap = max(worst, resid), max(gap, lift_gap)
     ok = worst <= 1e-6 and gap <= 1e-9
     return ok, (f"max Moebius fit residual {worst:.2e} (tol 1e-6); "

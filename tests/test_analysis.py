@@ -347,7 +347,8 @@ class TestCanonicalOrient:
 
     def test_recovers_rotation(self, geodesic_cache):
         p = geodesic_cache(0.5)
-        moved = act(RigidMotion.rotation_about(0.7, (2.0, 1.0)), p)
+        about = RigidMotion.translation_by((2.0, 1.0))
+        moved = act(about @ RigidMotion(0.7) @ about.inverse(), p)
         _, g = canonical_orient(moved)
         assert abs(g.rotation + 0.7) <= 1e-4
 

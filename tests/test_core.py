@@ -117,7 +117,7 @@ class TestFlip:
 class TestAct:
     def test_identity(self):
         p = ConfigPoint(1.0, 2.0, 0.5)
-        q = act(RigidMotion.identity(), p)
+        q = act(RigidMotion(), p)
         assert (q.x, q.y, q.theta) == (p.x, p.y, p.theta)
 
     def test_reflection_about_x_axis(self):
@@ -126,7 +126,7 @@ class TestAct:
         assert np.allclose([q.x, q.y, q.theta], [1.0, -2.0, -0.5], atol=1e-15)
 
     def test_quarter_rotation(self):
-        q = act(RigidMotion.rotation_about(math.pi / 2), ConfigPoint(1, 0, 0))
+        q = act(RigidMotion(math.pi / 2), ConfigPoint(1, 0, 0))
         assert np.allclose([q.x, q.y, q.theta], [0.0, 1.0, math.pi / 2], atol=1e-15)
 
     def test_back_wheel_maps_consistently(self):
@@ -149,6 +149,10 @@ class TestAct:
         assert abs(lhs.x - rhs.x) <= 1e-12 * scale
         assert abs(lhs.y - rhs.y) <= 1e-12 * scale
         assert abs(angle_difference(lhs.theta, rhs.theta)) <= 1e-12
+
+    def test_raw_points_refused(self):
+        with pytest.raises(TypeError, match="apply_point"):
+            act(RigidMotion(0.3), np.array([1.0, 2.0]))
 
     def test_inverse(self):
         g = RigidMotion(1.1, (2.0, -3.0), -1)
@@ -196,6 +200,18 @@ class TestSampledBikePath:
         p = line_path()
         with pytest.raises(ValueError):
             p.t[0] = 3.0
+
+    def test_value_equality(self):
+        # independently built paths hold distinct arrays
+        p, q = line_path(), line_path()
+        assert p == q and not p != q
+        assert p != line_path(n=5002)
+        assert p != line_path(t_end=4.0)
+        assert p != SampledBikePath(p.t, p.front, p.theta, p.kappa, 2.0)
+        assert p != SampledBikePath(p.t, p.front, p.theta, p.kappa, drift=0.0)
+        assert p != "line"
+        with pytest.raises(TypeError):
+            hash(p)
 
     def test_back_track_at_frame_distance(self):
         p = circle_path(1001)

@@ -137,6 +137,16 @@ class TestMobiusFit:
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         assert abs(det - 1.0) <= 1e-12
 
+    def test_value_equality(self):
+        m = np.array([[1.3, -0.4], [0.2, 0.9]])
+        mob = MobiusMap(m)
+        assert mob == MobiusMap(m.copy()) and not mob != MobiusMap(m.copy())
+        assert mob == MobiusMap(2.0 * m)  # stored at |det| = 1
+        assert mob != MobiusMap(m.T)
+        assert mob != "map"
+        with pytest.raises(TypeError):
+            hash(mob)
+
     def test_reflection_keeps_negative_determinant(self):
         # (s, c) -> (c, s) is theta -> pi - theta
         mob = MobiusMap(np.array([[0.0, 3.0], [3.0, 0.0]]))

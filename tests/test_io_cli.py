@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -19,9 +20,13 @@ from bikegeo import cli, closed_forms, metriclines, verify
 from bikegeo import integrate as geo
 from bikegeo.errors import DivergenceError
 from bikegeo.core import SampledBikePath
-from bikegeo.io import (CSV_HEADER, SvgScene, path_from_csv, path_scene,
-                        path_to_csv, read_path_csv, write_path_csv)
+from bikegeo.io import (BACK_COLOR, CSV_HEADER, DIRECTRIX_COLOR, FRONT_COLOR,
+                        SvgScene, path_from_csv, path_scene, path_to_csv,
+                        read_path_csv, write_path_csv)
 from bikegeo.integrate import canonical_vertex_state, integrate_geodesic
+
+
+SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +95,16 @@ class TestSvg:
         svg = scene.render()
         assert 'width="1200" height="600"' in svg
 
-    def test_directrix_and_arrows(self, short_path):
-        from bikegeo.analysis import find_vertices
-        rep = find_vertices(integrate_geodesic(canonical_vertex_state(0.5), 15.0))
-        scene = path_scene(short_path, vertices=rep.maxima(), directrix_y=-3.0)
-        svg = scene.render()
-        assert "stroke-dasharray" in svg
-        assert "<polygon" in svg  # arrow heads
+    def test_directrix_and_arrows(self):
+        # fig-geod draws, for each of its two geodesics, a dashed
+        # directrix and frame arrows at the first two curvature maxima
+        root = ET.fromstring(cli.PLOT_PRESETS["fig-geod"](1e-3).render())
+        lines = root.findall(f"{SVG_NS}polyline")
+        directrices = [e for e in lines if e.get("stroke") == DIRECTRIX_COLOR]
+        assert len(directrices) == 2
+        assert all(e.get("stroke-dasharray") == "8 6" for e in directrices)
+        assert len(root.findall(f"{SVG_NS}line")) == 4  # arrow shafts
+        assert len(root.findall(f"{SVG_NS}polygon")) == 4  # arrow heads
 
 
 class TestCli:
@@ -241,6 +249,20 @@ class TestCli:
         flipped = read_path_csv(flip_csv)
         lifted = read_path_csv(lift_csv)
         assert np.max(np.abs(flipped.back - lifted.back)) <= 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--a", "0.7", "--kappa0", "1.2", "--t-end", "5"],
+        ["lift", "--t0", "2", "--t-end", "4"],
+        ["correspond", "--radius", "2.2", "--theta0", "0.4", "--t-end", "5"],
+    ], ids=["geodesic", "lift", "correspond"])
+    def test_svg_path_output(self, argv, tmp_path, capsys):
+        out = tmp_path / "path.svg"
+        assert cli.main(argv + ["--format", "svg", "--output", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == str(out)
+        root = ET.parse(out).getroot()
+        assert root.tag == f"{SVG_NS}svg"
+        strokes = [e.get("stroke") for e in root.findall(f"{SVG_NS}polyline")]
+        assert strokes == [FRONT_COLOR, BACK_COLOR]
 
     def test_correspond_line_is_soliton(self, tmp_path):
         from bikegeo.closed_forms import soliton_point, line_lift_theta

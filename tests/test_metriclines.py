@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bikegeo import analysis
-from bikegeo.core import (ConfigPoint, horizontality_residuals,
-                          default_horizontality_tol)
+from bikegeo import analysis, metriclines
+from bikegeo.closed_forms import elliptic_period_advance
+from bikegeo.core import horizontality_residuals, default_horizontality_tol
 from bikegeo.errors import EndpointMismatchError, InvalidPeriodError
 from bikegeo.metriclines import (ShortcutReport, build_shortcut,
                                  is_metric_line_candidate, shortcut_analysis,
@@ -52,37 +52,38 @@ class TestThreshold:
 
 class TestBuildShortcut:
     def test_total_length(self):
-        cut = build_shortcut(ConfigPoint(0, 0, math.pi / 2), 3, 1.7, 1.0)
+        cut = build_shortcut(3, 1.7, 1.0)
         nominal = math.pi + 3 * 1.7
         assert abs((cut.t[-1] - cut.t[0]) - nominal) <= 1e-9
 
     def test_is_horizontal(self):
-        cut = build_shortcut(ConfigPoint(0, 0, math.pi / 2), 2, 1.0, 1.0)
+        cut = build_shortcut(2, 1.0, 1.0)
         assert horizontality_residuals(cut).max() <= default_horizontality_tol(cut)
 
     def test_endpoint_configuration(self):
         N, L = 2, 1.3
-        cut = build_shortcut(ConfigPoint(0, 0, math.pi / 2), N, L, 1.0)
+        cut = build_shortcut(N, L, 1.0)
         end = cut.config(len(cut) - 1)
         assert abs(end.x - N * L) <= 1e-12
         assert abs(end.y) <= 1e-12
         assert abs(end.theta - math.pi / 2) <= 1e-12
 
-    def test_requires_canonical_start(self):
-        with pytest.raises(ValueError):
-            build_shortcut(ConfigPoint(1, 0, math.pi / 2), 2, 1.0, 1.0)
+    def test_endpoint_check(self, monkeypatch):
+        # an advance 1% short puts the shortcut's end off the geodesic's
+        def short_advance(a, ell):
+            T, L = elliptic_period_advance(a, ell)
+            return T, 0.99 * L
 
-    def test_endpoint_check(self):
-        with pytest.raises(EndpointMismatchError):
-            build_shortcut(ConfigPoint(0, 0, math.pi / 2), 2, 1.0, 1.0,
-                           expected_end=ConfigPoint(5.0, 0, math.pi / 2))
+        monkeypatch.setattr(metriclines, "elliptic_period_advance", short_advance)
+        with pytest.raises(EndpointMismatchError, match="shortcut endpoint off"):
+            shortcut_analysis(0.5)
 
     def test_step_budget_refused_before_allocation(self):
         # the straight ride asks for 1.1 * 10^6 steps, over the step budget
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="budget"):
-                build_shortcut(ConfigPoint(0, 0, math.pi / 2), 1100, 1.0, 1.0, 1e-3)
+                build_shortcut(1100, 1.0, 1.0, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -58,7 +58,7 @@ def test_survey_fits_agree_with_lstsq(a):
 
 @pytest.mark.parametrize("r", [2.0, 2.5, 3.0])
 def test_pressurized_fits_agree_with_lstsq(r):
-    corr = correspondent(FrontTrackSpec.circle(r, t1=4.0 * math.pi * r), 0.7)
+    corr = correspondent(FrontTrackSpec.circle(r, 0.0, 4.0 * math.pi * r), 0.7)
     A, C, _residual = pressurized_fit(corr)
     assert_close((A, C), lstsq_reference(*pressurized_system(corr)), 1e-12)
 
