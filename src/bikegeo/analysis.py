@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numdiff
-from .core import (RigidMotion, SampledBikePath, act, normalize_angle)
+from .closed_forms import CLASS_TOL
+from .core import RigidMotion, act, normalize_angle
 from .errors import (DegenerateInputError, InsufficientExtentError,
                      InvalidPeriodError, NoDirectrixError, NoPeriodError)
 
@@ -30,9 +31,6 @@ CIRCLE = "Circle"
 SOLITON = "Soliton"
 WIDE_NIE = "WideNIE"
 NARROW_NIE = "NarrowNIE"
-
-#: classification tolerance around the boundary momenta a in {0, 1}
-CLASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -264,31 +262,15 @@ def find_vertices(path):
     return _memoized(path, "report", _scan_vertices)
 
 
-def _soliton_like(report):
-    """One curvature maximum; any further extrema sit at negligible
-    curvature (the far tail of a soliton leaves the homoclinic orbit at
-    roundoff scale, producing minima at ~1e-14 of the apex value)."""
-    maxima = report.maxima()
-    if len(maxima) != 1:
+def _soliton_like(report, top="max"):
+    """One extremum of kind top; any others sit at negligible curvature
+    (the far tail of a soliton leaves the homoclinic orbit at roundoff
+    scale, producing extrema at ~1e-14 of the apex value)."""
+    tops = [v for v in report if v.kind == top]
+    if len(tops) != 1:
         return False
-    kmax = abs(maxima[0].kappa)
-    return all(abs(v.kappa) <= 1e-6 * kmax for v in report.minima())
-
-
-def _oriented_and_vertices(path):
-    """Reflect the path if its curvature is negative, then find vertices.
-
-    Returns (path, motion, report) with motion the reflection applied
-    (identity when none was needed).
-    """
-    report = find_vertices(path)
-    motion = RigidMotion()
-    ref = report.vertices[0].kappa if len(report) else float(np.median(path.kappa))
-    if ref < 0.0:
-        motion = RigidMotion.reflection_x()
-        path = act(motion, path)
-        report = find_vertices(path)
-    return path, motion, report
+    kmax = abs(tops[0].kappa)
+    return all(abs(v.kappa) <= 1e-6 * kmax for v in report if v.kind != top)
 
 
 def canonical_orient(path):
@@ -306,49 +288,47 @@ def canonical_orient(path):
     heights; for a soliton the front-track tangent at the endpoint far
     from the apex is used instead (the frame settles onto the asymptote
     exponentially fast there).
+
+    A path whose first vertex has negative curvature is reflected first.
+    The reflection negates y, theta and kappa exactly and the vertex scan
+    is symmetric under that, so the path's own minima serve as maxima.
     """
-    work, reflect, report = _oriented_and_vertices(path)
+    report = find_vertices(path)
+    span = float(path.t[-1] - path.t[0])
     if len(report) == 0:
-        kmax = float(np.max(np.abs(work.kappa)))
-        if kmax <= 1e-8:
+        if float(np.max(np.abs(path.kappa))) <= 1e-8:
             raise NoDirectrixError("straight front track has no directrix")
         raise InsufficientExtentError(
-            "no curvature extrema in the sampled window",
-            partial_extent=float(work.t[-1] - work.t[0]))
+            "no curvature extrema in the sampled window", partial_extent=span)
 
-    maxima = report.maxima()
-    if len(maxima) >= 2:
-        first = np.asarray(maxima[0].position)
-        last = np.asarray(maxima[-1].position)
-        chord = last - first
-        phi = -math.atan2(chord[1], chord[0])
-        rot = RigidMotion(phi)
-        anchor = rot.apply_point(first)
-        move = RigidMotion.translation_by(-anchor) @ rot @ reflect
-        return act(move, path), move
-
-    if _soliton_like(report):
-        apex_v = report.maxima()[0]
-        d_left = apex_v.t - float(work.t[0])
-        d_right = float(work.t[-1]) - apex_v.t
-        if max(d_left, d_right) < 15.0 * work.ell:
+    reflect, top = RigidMotion(), "max"
+    if report.vertices[0].kappa < 0.0:
+        reflect, top = RigidMotion.reflection_x(), "min"
+    tops = [v for v in report if v.kind == top]
+    if len(tops) >= 2:
+        point = reflect.apply_point(tops[0].position)
+        direction = reflect.apply_point(tops[-1].position) - point
+        target = np.zeros(2)
+    elif _soliton_like(report, top):
+        apex = tops[0]
+        d_left = apex.t - float(path.t[0])
+        d_right = float(path.t[-1]) - apex.t
+        if max(d_left, d_right) < 15.0 * path.ell:
             raise InsufficientExtentError(
                 "soliton window too short to estimate the asymptote",
-                partial_extent=float(work.t[-1] - work.t[0]))
-        if d_right >= d_left:
-            tangent = work.front[-1] - work.front[-2]
-        else:
-            tangent = work.front[1] - work.front[0]
-        phi = -math.atan2(tangent[1], tangent[0])
-        rot = RigidMotion(phi)
-        apex = rot.apply_point(np.asarray(apex_v.position))
-        target = np.array([0.0, 2.0 * work.ell])
-        move = RigidMotion.translation_by(target - apex) @ rot @ reflect
-        return act(move, path), move
-
-    raise InsufficientExtentError(
-        "need two curvature extrema or a soliton apex to orient",
-        partial_extent=float(work.t[-1] - work.t[0]))
+                partial_extent=span)
+        ends = [-1, -2] if d_right >= d_left else [1, 0]
+        far, near = reflect.apply_point(path.front[ends])
+        direction = far - near
+        point = reflect.apply_point(apex.position)
+        target = np.array([0.0, 2.0 * path.ell])
+    else:
+        raise InsufficientExtentError(
+            "need two curvature extrema or a soliton apex to orient",
+            partial_extent=span)
+    rot = RigidMotion(-math.atan2(direction[1], direction[0]))
+    move = RigidMotion.translation_by(target - rot.apply_point(point)) @ rot @ reflect
+    return act(move, path), move
 
 
 def _refined_extent(values, t):

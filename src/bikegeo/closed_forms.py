@@ -25,10 +25,11 @@ from scipy.special import (ellipe, ellipj, ellipk, ellipkm1, elliprd,
                            elliprf)
 
 from . import numdiff
-from .analysis import CLASS_TOL
 from .core import _ell_value
 from .errors import NoPeriodError
 
+#: classification tolerance around the boundary momenta a in {0, 1}
+CLASS_TOL = 1e-9
 # beyond this argument sech underflows double precision anyway
 _SECH_CLAMP = 700.0
 # largest phase |u| = (1+a) |s| / 2 that geodesic accepts, for every
@@ -113,6 +114,22 @@ def soliton_arclength(t, t0=0.0, ell=1.0):
     return numdiff.cumulative_trapezoid(speed, t)
 
 
+def _advance(a, p, m, K):
+    """Directrix advance L per curvature period (ell = 1), given
+    p = ((1-a)/(1+a))^2, m = 1 - p and K = ellipkm1(p).  For m <= 1/2,
+    where L = ((1+a^2) T - 4 (1+a) E) / (2a) cancels (a -> 0 and a -> inf),
+    it is the positive series 2 pi/(1+a) sum_{n>=1} c_n n/(n+1) m^n with
+    c_n = ((1/2)_n/n!)^2, the term-by-term sum of 4 (2(K-E)/m - K) / (1+a);
+    above m = 1/2 it is the Carlson form 4 (2 R_D(0,p,1)/3 - K) / (1+a).
+    """
+    if m <= 0.5:
+        # 53 terms: m^n <= 2^-n reaches double rounding
+        n = np.arange(1.0, 54.0)
+        c = np.cumprod(((n - 0.5) / n) ** 2)
+        return 2.0 * math.pi / (1.0 + a) * float(np.sum(c * n / (n + 1.0) * m**n))
+    return 4.0 * (2.0 * float(elliprd(0.0, p, 1.0)) / 3.0 - K) / (1.0 + a)
+
+
 def elliptic_period_advance(a, ell=1.0):
     """Curvature period T and directrix advance L of the geodesic with
     momentum a, from complete elliptic integrals.
@@ -122,15 +139,7 @@ def elliptic_period_advance(a, ell=1.0):
     both in units of ell.  K is evaluated through ellipkm1(p), which
     keeps full precision near the soliton limit a -> 1 where T diverges
     logarithmically; T - L tends to 4*ell there and to 0 as a -> inf.
-    L = ((1+a^2) T - 4 (1+a) E) / (2a) is the small difference of two
-    large terms whenever m = 1-p = 4a/(1+a)^2 is small, that is both as
-    a -> 0 (L ~ pi*a) and as a -> inf (L ~ pi/a^2).  For m <= 1/2 it is
-    therefore summed as the positive series
-    L = 2 pi/(1+a) * sum_{n>=1} c_n n/(n+1) m^n, c_n = ((1/2)_n/n!)^2,
-    the term-by-term sum of 4 (2(K-E)/m - K) / (1+a); it has no
-    cancellation.  Above m = 1/2 it is evaluated in the Carlson form
-    4 (2 R_D(0,p,1)/3 - R_F(0,p,1)) / (1+a).  Against 80-digit
-    references L is within 1.3e-15 relative for a in [2e-9, 1e16].
+    L is the per-period advance of :func:`geodesic` (:func:`_advance`).
     Circles (a = 0) and solitons (a = 1), as classified within
     CLASS_TOL, have no period and raise NoPeriodError.
     """
@@ -139,17 +148,9 @@ def elliptic_period_advance(a, ell=1.0):
     if a <= CLASS_TOL or abs(a - 1.0) <= CLASS_TOL:
         raise NoPeriodError(f"no curvature period at a={a}: circle or soliton")
     p = ((1.0 - a) / (1.0 + a)) ** 2
-    T = 4.0 * float(ellipkm1(p)) / (1.0 + a)
     m = 4.0 * a / (1.0 + a) / (1.0 + a)
-    if m <= 0.5:
-        # 53 terms: m^n <= 2^-n reaches double rounding
-        n = np.arange(1.0, 54.0)
-        c = np.cumprod(((n - 0.5) / n) ** 2)
-        L = 2.0 * math.pi / (1.0 + a) * float(np.sum(c * n / (n + 1.0) * m**n))
-    else:
-        L = 4.0 * (2.0 * float(elliprd(0.0, p, 1.0)) / 3.0
-                   - float(elliprf(0.0, p, 1.0))) / (1.0 + a)
-    return ell * T, ell * L
+    K = float(ellipkm1(p))
+    return ell * (4.0 * K / (1.0 + a)), ell * _advance(a, p, m, K)
 
 
 def _periodic_parts(a, u, K, p, m):
@@ -263,8 +264,8 @@ def geodesic(a, s):
         theta = pi/2 + arg(1 + a - 2 sn^2 + 2i sn cn),
 
     written so that nothing is divided by a.  The phase is reduced to
-    u = 2jK + u_r with |u_r| <= K first: x then advances L per period
-    (see :func:`elliptic_period_advance`), and theta by 2 pi per period
+    u = 2jK + u_r with |u_r| <= K first: x then advances by the L of
+    :func:`elliptic_period_advance` per period, and theta by 2 pi per period
     for a < 1, so theta is continuous and depends on each s alone.  The
     circle (a = 0) and the soliton (a = 1) are evaluated directly.
 
@@ -293,7 +294,7 @@ def geodesic(a, s):
     u_r = u
     u_r -= 2.0 * K * j
     dn, y, psi, x, S = _periodic_parts(a, u_r, K, p, m)
-    advance = 4.0 * (2.0 * float(elliprd(0.0, p, 1.0)) / 3.0 - K) / (1.0 + a)
+    advance = _advance(a, p, m, K)
     # x = (4 D - 2 u_r) / (1 + a) + advance j, y = -4 sn^2 / ((1 + a) (1 + dn))
     x *= 4.0
     x -= 2.0 * u_r

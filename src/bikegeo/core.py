@@ -44,8 +44,7 @@ class BikeLength:
     ell: float = 1.0
 
     def __post_init__(self):
-        if not (self.ell > 0.0 and math.isfinite(self.ell)):
-            raise ValueError(f"frame length must be positive, got {self.ell}")
+        object.__setattr__(self, "ell", _ell_value(self.ell))
 
     def __float__(self):
         return self.ell
@@ -354,21 +353,19 @@ def flip_path(path):
     satisfy the no-skid invariant; the flipped output is checked against
     twice the input residual (plus the finite-difference floor).
     """
-    ell = path.ell
     c, s = np.cos(path.theta), np.sin(path.theta)
-    v = np.stack([c, s], axis=1)
-    front = path.front - 2.0 * ell * v
-    theta = path.theta + math.pi
-    kappa = numdiff.curvature_from_track(front, path.t)
-    flipped = SampledBikePath(path.t, front, theta, kappa, ell)
-    tol = default_horizontality_tol(path)
     res_in = _no_skid_residuals(path, c, s)
-    worst_in = float(res_in.max()) if res_in.size else 0.0
+    tol = default_horizontality_tol(path)
+    worst_in = float(res_in.max())
     if worst_in > tol:
         raise HorizontalityError(
             f"input path violates the no-skid invariant ({worst_in:.3e})")
+    front = path.front - 2.0 * path.ell * np.stack([c, s], axis=1)
+    theta = path.theta + math.pi
+    kappa = numdiff.curvature_from_track(front, path.t)
+    flipped = SampledBikePath(path.t, front, theta, kappa, path.ell)
     res_out = horizontality_residuals(flipped)
-    worst_out = float(res_out.max()) if res_out.size else 0.0
+    worst_out = float(res_out.max())
     if worst_out > 2.0 * worst_in + tol:
         raise HorizontalityError(
             f"flipped path residual {worst_out:.3e} exceeds slack bound")

@@ -369,6 +369,74 @@ class TestCanonicalOrient:
         # asymptote is y = 0
         assert abs(oriented.front[-1, 1]) <= 1e-4
 
+    def test_reflected_soliton_asymptote(self):
+        p = integrate_geodesic(soliton_vertex_state(), 30.0, 1e-3)
+        shifted = act(RigidMotion(0.3, (1.0, -2.0), -1), p)
+        oriented, g = canonical_orient(shifted)
+        assert g.orientation == -1
+        apex = oriented.front[np.argmax(oriented.front[:, 1])]
+        assert abs(apex[0]) <= 1e-3
+        assert abs(apex[1] - 2.0) <= 1e-5
+        assert abs(oriented.front[-1, 1]) <= 1e-4
+
+    @staticmethod
+    def reflected_copy_orient(path):
+        # the reference canonical_orient replaces: a negative-curvature
+        # path is reflected as a whole and the copy scanned again
+        reflect, work = RigidMotion(), path
+        if find_vertices(path).vertices[0].kappa < 0.0:
+            reflect = RigidMotion.reflection_x()
+            work = act(reflect, path)
+        maxima = find_vertices(work).maxima()
+        if len(maxima) >= 2:
+            first = np.asarray(maxima[0].position)
+            chord = np.asarray(maxima[-1].position) - first
+            rot = RigidMotion(-math.atan2(chord[1], chord[0]))
+            move = RigidMotion.translation_by(-rot.apply_point(first)) @ rot @ reflect
+            return act(move, path), move
+        apex = maxima[0]  # a soliton
+        if float(work.t[-1]) - apex.t >= apex.t - float(work.t[0]):
+            tangent = work.front[-1] - work.front[-2]
+        else:
+            tangent = work.front[1] - work.front[0]
+        rot = RigidMotion(-math.atan2(tangent[1], tangent[0]))
+        target = np.array([0.0, 2.0 * work.ell])
+        shift = target - rot.apply_point(np.asarray(apex.position))
+        move = RigidMotion.translation_by(shift) @ rot @ reflect
+        return act(move, path), move
+
+    def test_matches_reflected_copy_reference(self, geodesic_cache, monkeypatch):
+        s = np.arange(-30000, 2001) * 1e-3  # a soliton whose apex is near its end
+        x, y, theta, kappa = geodesic(1.0, s)
+        bases = [geodesic_cache(0.5), geodesic_cache(2.0),
+                 integrate_geodesic(soliton_vertex_state(), 30.0, 1e-3),
+                 SampledBikePath(s, np.stack([x, y], axis=1), theta, kappa)]
+        motions = [RigidMotion.reflection_x(), RigidMotion(0.7, (2.0, 1.0)),
+                   RigidMotion(-2.3, (-1.5, 4.0), -1), RigidMotion(3.0, (0.2, -0.3), -1)]
+        calls = {"find_vertices": 0, "act": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for base in bases:
+            for g in motions:
+                path = act(g, base)
+                ref, ref_move = self.reflected_copy_orient(fresh_copy(path))
+                with monkeypatch.context() as m:
+                    for name in calls:
+                        calls[name] = 0
+                        m.setattr(analysis, name, counted(name, getattr(analysis, name)))
+                    got, move = canonical_orient(path)
+                assert calls == {"find_vertices": 1, "act": 1}
+                assert move.orientation == g.orientation
+                assert repr(move) == repr(ref_move)  # -0.0 and 0.0 differ here
+                for field in ("t", "front", "theta", "kappa"):
+                    assert (getattr(got, field).tobytes()
+                            == getattr(ref, field).tobytes())
+
     def test_line_rejected(self):
         with pytest.raises(NoDirectrixError):
             canonical_orient(straight_path())

@@ -207,6 +207,15 @@ class TestExactGeodesic:
         got = np.stack(geodesic(a, self.S), axis=1)
         assert np.max(np.abs(got - mp_geodesic(a, self.S, dps=50))) <= 1e-13
 
+    @pytest.mark.parametrize("a", [0.01, 0.15, 6.0, 100.0])
+    def test_long_arcs_match_mpmath(self, a):
+        # m <= 1/2, where a Carlson form of the advance L cancels: x gains
+        # L once per period, thousands of times over these arcs
+        s = np.array([1e3, 1e4, 3e4]) + 0.37
+        x = geodesic(a, s)[0]
+        x_ref = mp_geodesic(a, s, dps=50)[:, 0]
+        assert np.max(np.abs(x - x_ref) / np.maximum(1.0, np.abs(x_ref))) <= 5e-14
+
     def test_vertex_pose(self):
         for a in (0.0, 1e-6, 0.5, 1.0, 1 + 1e-6, 3.0):
             x, y, theta, kappa = geodesic(a, 0.0)

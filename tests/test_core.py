@@ -58,6 +58,15 @@ class TestBikeLength:
         with pytest.raises(ValueError):
             BikeLength(bad)
 
+    @pytest.mark.parametrize("ell", [2, np.float64(2.0)])
+    def test_any_real_is_stored_as_float(self, ell):
+        # float(BikeLength) must return a float: Python raises TypeError
+        # for an int and warns for a numpy float
+        assert type(BikeLength(ell).ell) is float
+        p = ConfigPoint(2, 3, 0.4)
+        got, want = to_st_model(p, BikeLength(ell)), to_st_model(p, 2.0)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
 
 class TestStModel:
     def test_axis_aligned(self):
@@ -249,6 +258,13 @@ class TestFlipPath:
         bad = SampledBikePath(p.t, p.front, p.t.copy(), p.kappa)
         with pytest.raises(HorizontalityError):
             flip_path(bad)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_fewer_than_three_samples(self, n):
+        p = line_path(n=5)
+        short = SampledBikePath(p.t[:n], p.front[:n], p.theta[:n], p.kappa[:n])
+        with pytest.raises(DegenerateInputError, match="at least 3 samples"):
+            flip_path(short)
 
     def test_residual_slack_factor(self):
         lift = horizontal_lift(FrontTrackSpec.line(0.0, 10.0), -0.7)

@@ -1,5 +1,6 @@
 """CSV round trips, SVG rendering, CLI contract, mutation smoke test."""
 
+import ast
 import contextlib
 import filecmp
 import io
@@ -250,6 +251,23 @@ class TestCli:
         lifted = read_path_csv(lift_csv)
         assert np.max(np.abs(flipped.back - lifted.back)) <= 1e-9
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_flip_of_too_few_rows_is_one_json_line(self, rows, tmp_path, capsys):
+        lift_csv = tmp_path / "lift.csv"
+        assert cli.main(["lift", "--t0", "5", "--t-end", "10",
+                         "--output", str(lift_csv)]) == 0
+        short_csv = tmp_path / "short.csv"
+        short_csv.write_text("".join(lift_csv.read_text().splitlines(True)[:1 + rows]))
+        capsys.readouterr()
+        assert cli.main(["flip", str(short_csv), "--output",
+                         str(tmp_path / "flip.csv")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        assert json.loads(lines[0]) == {
+            "error": "usage", "message": "need at least 3 samples for residuals"}
+        assert not (tmp_path / "flip.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["geodesic", "--a", "0.7", "--kappa0", "1.2", "--t-end", "5"],
         ["lift", "--t0", "2", "--t-end", "4"],
@@ -343,6 +361,17 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_closed_forms_imports_nothing_from_analysis(self):
+        # the ground-truth layer stays below the diagnostics it checks
+        with open(closed_forms.__file__) as fh:
+            tree = ast.parse(fh.read())
+        modules = [node.module or "" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)]
+        modules += [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.Import) for alias in node.names]
+        assert "core" in modules
+        assert not any(name.split(".")[-1] == "analysis" for name in modules)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
