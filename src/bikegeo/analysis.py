@@ -200,11 +200,9 @@ def _window(x, j):
     """Samples j-1, j, j+1 of x as floats, taking the sample that
     :func:`_extended` adds where the window passes an end."""
     if j == 0:
-        x0, x1, x2 = x[:3].tolist()
-        return [3.0 * x0 - 3.0 * x1 + x2, x0, x1]
+        return _extended(x[:3])[:3].tolist()
     if j == len(x) - 1:
-        x0, x1, x2 = x[-3:].tolist()
-        return [x1, x2, 3.0 * x2 - 3.0 * x1 + x0]
+        return _extended(x[-3:])[2:].tolist()
     return x[j - 1:j + 2].tolist()
 
 

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, closed_forms, holonomy, metriclines, verify
+from . import analysis, closed_forms, holonomy, metriclines
 from . import integrate as geo
 from . import io as pathio
 from .core import flip_path
@@ -58,20 +58,22 @@ def _output_path(args, default_name):
     return os.path.join(base, default_name)
 
 
-def _write_path(path, args, default_stem):
+def _write_path(path, args, default_stem, scene=None):
     if args.format == "csv":
         out = _output_path(args, default_stem + ".csv")
         pathio.write_path_csv(path, out)
     else:
         out = _output_path(args, default_stem + ".svg")
-        pathio.write_svg(pathio.path_scene(path), out)
+        pathio.write_svg(scene() if scene else pathio.path_scene(path), out)
     print(out)
     return EXIT_OK
 
 
 def _add_common(p, theta0=False):
+    """Path-command options; theta0 adds --t-end and --theta0."""
     p.add_argument("--ell", type=float, default=1.0, help="frame length")
-    p.add_argument("--t-end", type=float, default=30.0, help="arc length to cover")
+    if theta0:
+        p.add_argument("--t-end", type=float, default=30.0, help="arc length to cover")
     p.add_argument("--step", type=float, default=1e-3, help="integration step")
     p.add_argument("--format", choices=("csv", "svg"), default="csv")
     p.add_argument("--output", help="output file (default derived from command)")
@@ -218,18 +220,12 @@ def _cmd_shortcut(args):
     print(f"T={report.T!r} L={report.L!r} N_star={report.N_star} "
           f"geodesic_length={report.geodesic_length!r} "
           f"shortcut_length={report.shortcut_length!r} margin={report.margin!r}")
-    if args.format == "svg":
-        out = _output_path(args, "shortcut.svg")
-        pathio.write_svg(pathio.shortcut_scene(geodesic, cut), out)
-        print(out)
-    else:
-        out = _output_path(args, "shortcut.csv")
-        pathio.write_path_csv(cut, out)
-        print(out)
-    return EXIT_OK
+    return _write_path(cut, args, "shortcut",
+                       lambda: pathio.shortcut_scene(geodesic, cut))
 
 
 def _cmd_verify(args):
+    from . import verify  # the checks run the CLI, so load them only here
     results = verify.run_suites(args.suite)
     print(verify.format_results(results))
     if all(r.ok for r in results):
@@ -260,8 +256,8 @@ def _scene_geod(step):
         scene.polyline(p.front + off, pathio.FRONT_COLOR, 2.0)
         scene.polyline(p.back + off, pathio.BACK_COLOR, 1.5)
         y_d = -(1.0 + a) / a
-        scene.segment((off[0] - 1.0, y_d), (off[0] + 8.0, y_d),
-                      pathio.DIRECTRIX_COLOR, 1.2, dash="8 6")
+        scene.polyline([(off[0] - 1.0, y_d), (off[0] + 8.0, y_d)],
+                       pathio.DIRECTRIX_COLOR, 1.2, dash="8 6")
         for v in report.maxima()[:2]:
             tip = np.asarray(v.position) + off
             base = tip - np.array([math.cos(v.theta), math.sin(v.theta)])

@@ -187,10 +187,13 @@ def pressurized_fit(front, t=None, spacing=FIT_SPACING):
     np.linalg.lstsq solution with rcond = 1e-6); constant-curvature
     input leaves (A, C) underdetermined and the minimum-norm solution
     is returned.
-    A non-finite front or t, a missing t or one of another length, or a
-    t that is not strictly increasing raises ValueError.
+    A non-finite front or t, a missing t or one of another length, a t
+    given with a path, or a t that is not strictly increasing raises
+    ValueError.
     """
     if isinstance(front, SampledBikePath):
+        if t is not None:
+            raise ValueError("t is given only with an array front")
         t = front.t
         front = front.front
     front = np.asarray(front, dtype=float)

@@ -88,9 +88,6 @@ class SvgScene:
             pts = pts[np.round(idx).astype(int)]
         self._elements.append(("polyline", pts, color, width, dash, opacity))
 
-    def segment(self, p0, p1, color, width=2.0, dash=None):
-        self.polyline(np.array([p0, p1]), color, width, dash)
-
     def arrow(self, base, tip):
         """Frame arrow from base to tip, in FRAME_COLOR at width 2."""
         pts = np.stack([np.asarray(base, dtype=float), np.asarray(tip, dtype=float)])

@@ -1,20 +1,27 @@
 """Property-verification suites.
 
-Every quantitative property of the library is packaged as a named check
-returning (ok, detail); checks are grouped into suites mirroring the
-module layout.  The command-line ``verify`` subcommand runs them and the
-acceptance tests assert them individually.  All randomness is seeded,
-so every check is deterministic.
+Every quantitative property of the library is packaged as a check
+function returning (ok, detail); ``SUITES`` lists the check functions
+of each suite, mirroring the module layout, and a check's name is its
+function name without ``check_``.  The command-line ``verify``
+subcommand runs them and the acceptance tests assert them
+individually.  All randomness is seeded, so every check is
+deterministic.
 """
 
+import contextlib
+import filecmp
+import io
 import math
+import os
+import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from . import analysis, closed_forms, holonomy, io as pathio, metriclines
+from . import analysis, cli, closed_forms, holonomy, io as pathio, metriclines
 from . import integrate as geo
 from .core import (ConfigPoint, RigidMotion, act, default_horizontality_tol,
                    dilate_path, flip, flip_path, horizontality_residuals,
@@ -417,7 +424,6 @@ def check_flip_identity_exact():
 
 
 def check_closed_form_widths():
-    worst_t, worst_s = math.inf, math.inf
     for ell in (0.5, 1.0, 2.0):
         t = np.linspace(-40.0 * ell, 40.0 * ell, 20001)
         ytr = closed_forms.tractrix_point(t, 0.0, ell)[:, 1]
@@ -426,7 +432,6 @@ def check_closed_form_widths():
         ws = float(yso.max() - yso.min())
         if not (ell - 1e-6 <= wt <= ell) or not (2 * ell - 1e-6 <= ws <= 2 * ell):
             return False, f"widths {wt:.8f}, {ws:.8f} out of band at ell={ell}"
-        worst_t, worst_s = min(worst_t, wt), min(worst_s, ws)
     return True, "tractrix width = ell, soliton width = 2*ell (within 1e-6)"
 
 
@@ -725,17 +730,13 @@ def check_csv_roundtrip():
 
 
 def _quiet_cli(argv):
-    import contextlib
-    import io as _io
-    from . import cli
-    buf = _io.StringIO()
+    buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         rc = cli.main(argv)
     return rc, buf.getvalue()
 
 
 def check_cli_determinism():
-    import tempfile, os, filecmp
     with tempfile.TemporaryDirectory() as d:
         f1 = os.path.join(d, "a.csv")
         f2 = os.path.join(d, "b.csv")
@@ -751,8 +752,6 @@ def check_cli_determinism():
 
 
 def check_svg_presets():
-    from . import cli
-    import tempfile, os
     with tempfile.TemporaryDirectory() as d:
         for preset in cli.PLOT_PRESETS:
             out = os.path.join(d, preset + ".svg")
@@ -773,59 +772,39 @@ def check_svg_presets():
 
 SUITES = {
     "core": [
-        ("flip_involution", check_flip_involution),
-        ("flip_residual_slack", check_flip_residual_slack),
-        ("length_isometry", check_length_isometry),
-        ("act_composition", check_act_composition),
-        ("st_roundtrip", check_st_roundtrip),
+        check_flip_involution, check_flip_residual_slack,
+        check_length_isometry, check_act_composition, check_st_roundtrip,
     ],
     "integrate": [
-        ("energy_conservation", check_energy_conservation),
-        ("momenta_constant", check_momenta_constant),
-        ("curvature_is_momentum", check_curvature_is_momentum),
-        ("unit_speed_constraint", check_unit_speed_constraint),
-        ("reduced_full_agreement", check_reduced_full_agreement),
-        ("rk4_order", check_rk4_order),
-        ("exact_geodesic_matches_rk4", check_exact_geodesic_matches_rk4),
+        check_energy_conservation, check_momenta_constant,
+        check_curvature_is_momentum, check_unit_speed_constraint,
+        check_reduced_full_agreement, check_rk4_order,
+        check_exact_geodesic_matches_rk4,
     ],
     "analysis": [
-        ("elastica_residual_grid", check_elastica_residual_grid),
-        ("widths", check_widths),
-        ("vertex_angles", check_vertex_angles),
-        ("curvature_extremes", check_curvature_extremes),
-        ("flip_structure", check_flip_structure),
-        ("dilation_covariance", check_dilation_covariance),
-        ("classify_grid", check_classify_grid),
-        ("width_is_strip_infimum", check_width_is_strip_infimum),
+        check_elastica_residual_grid, check_widths, check_vertex_angles,
+        check_curvature_extremes, check_flip_structure,
+        check_dilation_covariance, check_classify_grid,
+        check_width_is_strip_infimum,
     ],
     "closed_forms": [
-        ("flip_identity_exact", check_flip_identity_exact),
-        ("closed_form_widths", check_closed_form_widths),
-        ("lift_matches_closed_forms", check_lift_matches_closed_forms),
-        ("soliton_arclength_and_profile", check_soliton_arclength_and_profile),
-        ("line_lift_theta_ode", check_line_lift_theta_ode),
-        ("soliton_geodesic_matches_closed_form",
-         check_soliton_geodesic_matches_closed_form),
-        ("period_advance_exact", check_period_advance_exact),
+        check_flip_identity_exact, check_closed_form_widths,
+        check_lift_matches_closed_forms, check_soliton_arclength_and_profile,
+        check_line_lift_theta_ode, check_soliton_geodesic_matches_closed_form,
+        check_period_advance_exact,
     ],
     "holonomy": [
-        ("transport_monotone", check_transport_monotone),
-        ("transport_composition_reparam", check_transport_composition_reparam),
-        ("mobius_universal", check_mobius_universal),
-        ("cross_ratio_preserved", check_cross_ratio_preserved),
-        ("correspondent_involution", check_correspondent_involution),
-        ("pressurized", check_pressurized),
-        ("correspondent_of_line", check_correspondent_of_line),
+        check_transport_monotone, check_transport_composition_reparam,
+        check_mobius_universal, check_cross_ratio_preserved,
+        check_correspondent_involution, check_pressurized,
+        check_correspondent_of_line,
     ],
     "metriclines": [
-        ("threshold_arithmetic", check_threshold_arithmetic),
-        ("shortcut_grid", check_shortcut_grid),
-        ("metric_line_candidates", check_metric_line_candidates),
+        check_threshold_arithmetic, check_shortcut_grid,
+        check_metric_line_candidates,
     ],
     "cli_io": [
-        ("csv_roundtrip", check_csv_roundtrip),
-        ("cli_determinism", check_cli_determinism),
-        ("svg_presets", check_svg_presets),
+        check_csv_roundtrip, check_cli_determinism, check_svg_presets,
     ],
 }
 
@@ -842,12 +821,13 @@ def run_suites(names=None):
                          f"choose from {', '.join(['all', *SUITES])}")
     results = []
     for suite in dict.fromkeys(names):
-        for name, fn in SUITES[suite]:
+        for fn in SUITES[suite]:
             start = time.perf_counter()
             try:
                 ok, detail = fn()
             except Exception as exc:  # a crashed check is a failed check
                 ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+            name = fn.__name__.removeprefix("check_")
             results.append(CheckResult(suite, name, bool(ok), detail,
                                        time.perf_counter() - start))
     return results

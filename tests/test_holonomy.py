@@ -266,7 +266,8 @@ class TestPressurizedFit:
         ("nan_front", "front must be finite"), ("inf_t", "t must be finite"),
         ("short_t", "t must be finite, one value per front sample"),
         ("constant_t", "strictly increasing"),
-        ("decreasing_t", "strictly increasing")])
+        ("decreasing_t", "strictly increasing"),
+        ("path_t", "t is given only with an array front")])
     def test_bad_input_rejected_before_resampling(self, bad, match, capfd):
         t = np.arange(0.0, 4 * math.pi, 1e-2)
         front = 2.0 * np.stack([np.cos(t / 2.0), np.sin(t / 2.0)], axis=1)
@@ -278,6 +279,9 @@ class TestPressurizedFit:
             t = t[:-5]
         elif bad == "constant_t":
             t = np.zeros_like(t)
+        elif bad == "path_t":  # a path carries its own t
+            front = correspondent(FrontTrackSpec.circle(2.0, 0.0, 4 * math.pi),
+                                  0.7, 1.0, 1e-2)
         else:
             t = t[::-1].copy()
         with pytest.raises(ValueError, match=match):

@@ -151,6 +151,7 @@ class TestCli:
         ["classify", "--a", "1e100", "--kappa0", "1"],
         ["correspond", "--radius", "1e-300"],
         ["shortcut", "--a", "3", "--ell", "5.8e307", "--step", "1"],
+        ["shortcut", "--a", "0.5", "--t-end", "5"],
     ], ids="_".join)
     def test_bad_float_is_one_json_line(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BIKEGEO_OUTPUT_DIR", str(tmp_path))
@@ -355,12 +356,14 @@ class TestCli:
         del out
 
     def test_import_loads_no_scipy_integrate(self):
+        # only the verify command loads the checks and their spline tracks
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, bikegeo, bikegeo.cli; "
-             "print('scipy.integrate' in sys.modules)"],
+             "print(*(name in sys.modules for name in ('scipy.integrate', "
+             "'bikegeo.verify', 'scipy.interpolate')))"],
             capture_output=True, text=True)
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False False"
 
     def test_closed_forms_imports_nothing_from_analysis(self):
         # the ground-truth layer stays below the diagnostics it checks
@@ -470,7 +473,11 @@ class TestVerifyCommand:
         ran = []
 
         def check(name):
-            return name, lambda: ran.append(name) or (True, "ran")
+            def fn():
+                ran.append(name)
+                return True, "ran"
+            fn.__name__ = "check_" + name
+            return fn
 
         monkeypatch.setattr(verify, "SUITES", {"one": [check("a"), check("b")],
                                                "two": [check("c")]})
@@ -498,9 +505,10 @@ class TestVerifyCommand:
         assert tiny_suites == ["a", "b", "c"]
 
     def test_failing_check_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setitem(
-            verify.SUITES, "doomed",
-            [("always_fails", lambda: (False, "injected failure"))])
+        def check_always_fails():
+            return False, "injected failure"
+
+        monkeypatch.setitem(verify.SUITES, "doomed", [check_always_fails])
         rc = cli.main(["verify", "--suite", "doomed"])
         assert rc == 2
         captured = capsys.readouterr()

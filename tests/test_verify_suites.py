@@ -15,7 +15,7 @@ _ACCEPTED = set(re.findall(
     Path(__file__).with_name("test_acceptance.py").read_text()))
 _ACCEPTED.discard("check_shortcut_grid")
 
-_CHECKS = [fn for checks in verify.SUITES.values() for _name, fn in checks
+_CHECKS = [fn for checks in verify.SUITES.values() for fn in checks
            if fn.__name__ not in _ACCEPTED]
 
 
@@ -23,3 +23,13 @@ _CHECKS = [fn for checks in verify.SUITES.values() for _name, fn in checks
 def test_verify_check(check):
     ok, detail = check()
     assert ok, detail
+
+
+def test_every_check_in_exactly_one_suite():
+    # run_suites names a result after its function, so SUITES lists each
+    # module-level check once and nothing that is not a check
+    listed = [fn for checks in verify.SUITES.values() for fn in checks]
+    defined = [fn for name, fn in vars(verify).items()
+               if name.startswith("check_") and callable(fn)]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(defined)
