@@ -51,19 +51,14 @@ def _emit_error(kind, message):
     sys.stderr.write(json.dumps({"error": kind, "message": str(message)}) + "\n")
 
 
-def _output_path(args, default_name):
-    if args.output:
-        return args.output
-    base = os.environ.get("BIKEGEO_OUTPUT_DIR", ".")
-    return os.path.join(base, default_name)
-
-
 def _write_path(path, args, default_stem, scene=None):
+    """Write the path as CSV, or scene() (by default the path's scene) as
+    SVG, to --output or BIKEGEO_OUTPUT_DIR/default_stem.<format>."""
+    out = args.output or os.path.join(os.environ.get("BIKEGEO_OUTPUT_DIR", "."),
+                                      f"{default_stem}.{args.format}")
     if args.format == "csv":
-        out = _output_path(args, default_stem + ".csv")
         pathio.write_path_csv(path, out)
     else:
-        out = _output_path(args, default_stem + ".svg")
         pathio.write_svg(scene() if scene else pathio.path_scene(path), out)
     print(out)
     return EXIT_OK
@@ -307,11 +302,8 @@ PLOT_PRESETS = {
 
 
 def _cmd_plot(args):
-    scene = PLOT_PRESETS[args.preset](args.step)
-    out = _output_path(args, args.preset + ".svg")
-    pathio.write_svg(scene, out)
-    print(out)
-    return EXIT_OK
+    return _write_path(None, args, args.preset,
+                       lambda: PLOT_PRESETS[args.preset](args.step))
 
 
 _COMMANDS = {

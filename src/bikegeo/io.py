@@ -1,23 +1,31 @@
 """CSV serialization of sampled paths and dependency-free SVG figures.
 
 CSV schema: header ``t,fx,fy,bx,by,theta,kappa``, one row per sample,
-floats in shortest round-trip decimal form (Python's repr), so equal
-configurations produce byte-identical files and parsing reproduces the
-stored arrays bit-exactly.  The back-track columns are derived data;
-the frame length is recovered from the first row on parsing.
+each float the ``repr`` of one ``%r`` row template, so equal
+configurations produce byte-identical files; NumPy's parser reads them
+with ``float()``'s correctly rounded conversion, bit-exactly.  The
+back-track columns are derived data; the frame length is recovered
+from the first row on parsing.
 
 SVG output draws on a fixed 1200x600 canvas with an equal-aspect world
 transform: front tracks in blue, back tracks in red, the directrix as a
 dashed green line, frame arrows in black.
 """
 
+import io
 import math
+import os
 
 import numpy as np
 
 from .core import SampledBikePath
+from .integrate import MAX_STEPS
 
 CSV_HEADER = "t,fx,fy,bx,by,theta,kappa"
+_CSV_ROW = ",".join(["%r"] * 7) + "\n"
+# room for MAX_STEPS + 1 rows, the samples of one step budget, each of
+# seven reprs of at most 24 characters, six commas and a newline
+MAX_CSV_CHARS = len(CSV_HEADER) + 1 + (MAX_STEPS + 1) * 175
 
 CANVAS_W = 1200
 CANVAS_H = 600
@@ -32,32 +40,35 @@ SHORTCUT_COLOR = "#ff7f0e"
 
 def path_to_csv(path):
     """Serialize a path to CSV text (shortest round-trip floats)."""
-    rows = np.column_stack((path.t, path.front, path.back, path.theta,
-                            path.kappa)).tolist()
-    lines = [CSV_HEADER] + [",".join(map(repr, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    table = np.column_stack((path.t, path.front, path.back, path.theta,
+                             path.kappa))
+    return (CSV_HEADER + "\n"
+            + (_CSV_ROW * len(table)) % tuple(table.ravel().tolist()))
 
 
 def path_from_csv(text):
-    """Parse CSV text produced by :func:`path_to_csv`.
-
-    The stored columns (t, front, theta, kappa) round-trip bit-exactly;
-    the frame length comes from the first row's front/back offset and is
-    exact to a few ulp.
-    """
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].strip() != CSV_HEADER:
+    """Parse CSV text produced by :func:`path_to_csv`.  The stored columns
+    (t, front, theta, kappa) round-trip bit-exactly; the frame length,
+    from the first row's front/back offset, is exact to a few ulp."""
+    header, _, body = text.strip().partition("\n")
+    if header.strip() != CSV_HEADER:
         raise ValueError(f"expected header '{CSV_HEADER}'")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != 7:
-        raise ValueError("each row must have 7 columns")
-    t = data[:, 0]
-    front = data[:, 1:3]
-    back = data[:, 3:5]
-    theta = data[:, 5]
-    kappa = data[:, 6]
-    ell = float(np.hypot(front[0, 0] - back[0, 0], front[0, 1] - back[0, 1]))
-    return SampledBikePath(t, front, theta, kappa, ell)
+    if not body:
+        raise ValueError("CSV has no samples")
+    try:
+        # bytes, not io.StringIO, which holds four bytes per character; a
+        # non-ASCII byte can only make its field fail to parse
+        data = np.loadtxt(io.BytesIO(body.encode()), delimiter=",",
+                          comments=None, ndmin=2, encoding="latin-1")
+        t, fx, fy, bx, by, theta, kappa = data.T  # ValueError unless 7 columns
+    except ValueError:
+        for n, line in enumerate(body.split("\n"), 2):
+            if line.rstrip("\r") and line.count(",") != 6:
+                raise ValueError(f"CSV line {n} has {line.count(',') + 1} "
+                                 "columns, expected 7") from None
+        raise  # every row has 7 fields: a field is not a float
+    ell = float(np.hypot(fx[0] - bx[0], fy[0] - by[0]))
+    return SampledBikePath(t, data[:, 1:3], theta, kappa, ell)
 
 
 def write_path_csv(path, filename):
@@ -66,8 +77,15 @@ def write_path_csv(path, filename):
 
 
 def read_path_csv(filename):
+    """A regular file past MAX_CSV_CHARS is refused unread; a pipe or
+    device (size 0) is read to one character past the limit at most."""
     with open(filename) as f:
-        return path_from_csv(f.read())
+        too_long = os.fstat(f.fileno()).st_size > MAX_CSV_CHARS
+        text = "" if too_long else f.read(MAX_CSV_CHARS + 1)
+    if too_long or len(text) > MAX_CSV_CHARS:
+        raise ValueError(f"CSV input is longer than the limit of "
+                         f"{MAX_CSV_CHARS} characters")
+    return path_from_csv(text)
 
 
 class SvgScene:

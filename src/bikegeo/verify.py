@@ -722,8 +722,8 @@ def check_csv_roundtrip():
     p = geo.integrate_geodesic(geo.canonical_vertex_state(0.5), 2.0, 1e-3)
     text = pathio.path_to_csv(p)
     q = pathio.path_from_csv(text)
-    exact = (np.array_equal(p.t, q.t) and np.array_equal(p.front, q.front)
-             and np.array_equal(p.theta, q.theta) and np.array_equal(p.kappa, q.kappa))
+    exact = all(np.array_equal(getattr(p, k), getattr(q, k))
+                for k in ("t", "front", "theta", "kappa"))
     ell_err = abs(p.ell - q.ell)
     ok = exact and ell_err <= 4 * np.finfo(float).eps
     return ok, f"arrays bit-exact: {exact}; frame length off by {ell_err:.1e}"
@@ -745,8 +745,7 @@ def check_cli_determinism():
         rc1, _ = _quiet_cli(argv + ["--output", f1])
         rc2, _ = _quiet_cli(argv + ["--output", f2])
         same = filecmp.cmp(f1, f2, shallow=False)
-        with open(f1) as fh:
-            rows = sum(1 for _ in fh) - 1
+        rows = len(pathio.read_path_csv(f1))
     ok = rc1 == 0 and rc2 == 0 and same and rows == 2001
     return ok, f"repeat runs byte-identical: {same}; {rows} data rows"
 
@@ -764,9 +763,8 @@ def check_svg_presets():
                 return False, f"preset {preset} produced no drawing"
             again = os.path.join(d, preset + "-2.svg")
             _quiet_cli(["plot", "--preset", preset, "--output", again])
-            with open(again) as fh:
-                if fh.read() != body:
-                    return False, f"preset {preset} not deterministic"
+            if not filecmp.cmp(out, again, shallow=False):
+                return False, f"preset {preset} not deterministic"
     return True, f"{len(cli.PLOT_PRESETS)} presets render deterministically"
 
 

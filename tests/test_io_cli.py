@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -19,15 +20,49 @@ from hypothesis import example, given, settings, strategies as st
 
 from bikegeo import cli, closed_forms, metriclines, verify
 from bikegeo import integrate as geo
+from bikegeo import io as pathio
 from bikegeo.errors import DivergenceError
 from bikegeo.core import SampledBikePath
 from bikegeo.io import (BACK_COLOR, CSV_HEADER, DIRECTRIX_COLOR, FRONT_COLOR,
-                        SvgScene, path_from_csv, path_scene, path_to_csv,
-                        read_path_csv, write_path_csv)
+                        MAX_CSV_CHARS, SvgScene, path_from_csv, path_scene,
+                        path_to_csv, read_path_csv, write_path_csv)
 from bikegeo.integrate import canonical_vertex_state, integrate_geodesic
 
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+
+
+def per_cell_csv(path):
+    """Reference writer: one repr per cell, one join per row."""
+    back = path.back
+    lines = [CSV_HEADER]
+    for i in range(len(path)):
+        row = (path.t[i], path.front[i, 0], path.front[i, 1],
+               back[i, 0], back[i, 1], path.theta[i], path.kappa[i])
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _bits_to_float(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+# every finite float64 bit pattern, subnormals and both zeros included
+finite_floats = st.integers(0, 2**64 - 1).map(_bits_to_float).filter(math.isfinite)
+
+
+@st.composite
+def odd_paths(draw):
+    """Paths of arbitrary finite floats with strictly increasing t.  The
+    first front point is kept moderate, so that the frame length the
+    reader recovers from the first row is not lost to rounding."""
+    n = draw(st.integers(1, 8))
+    t = sorted(draw(st.lists(finite_floats, min_size=n, max_size=n,
+                             unique_by=float)))
+    cells = draw(st.lists(finite_floats, min_size=4 * n, max_size=4 * n))
+    front = np.reshape(cells[:2 * n], (n, 2))
+    front[0] = draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2))
+    return SampledBikePath(t, front, cells[2 * n:3 * n], cells[3 * n:], 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -55,17 +90,33 @@ class TestCsv:
         with pytest.raises(ValueError):
             path_from_csv("t,fx,fy,bx,by,theta,kappa\n1,2,3\n")
 
-    def test_bytes_match_per_cell_formatter(self, short_path):
-        # reference: the per-cell formatter the row-list writer replaced
-        def per_cell(path):
-            back = path.back
-            lines = [CSV_HEADER]
-            for i in range(len(path)):
-                row = (path.t[i], path.front[i, 0], path.front[i, 1],
-                       back[i, 0], back[i, 1], path.theta[i], path.kappa[i])
-                lines.append(",".join(repr(float(v)) for v in row))
-            return "\n".join(lines) + "\n"
+    @pytest.mark.parametrize("widths, message", [
+        ((7, 6, 8, 7), "CSV line 3 has 6 columns, expected 7"),
+        ((7, 8, 6, 7), "CSV line 3 has 8 columns, expected 7"),
+        ((6, 8), "CSV line 2 has 6 columns, expected 7"),
+    ])
+    def test_rejects_rows_of_six_and_eight_columns(self, widths, message):
+        # 6 + 8 fields: a flat count divisible by 7 must not hide them
+        rows = [",".join(["1.0"] * w) for w in widths]
+        with pytest.raises(ValueError) as exc:
+            path_from_csv("\n".join([CSV_HEADER, *rows]))
+        assert str(exc.value) == message
 
+    def test_rejects_header_only(self):
+        for text in (CSV_HEADER, CSV_HEADER + "\n", CSV_HEADER + "\n\n \n"):
+            with pytest.raises(ValueError) as exc:
+                path_from_csv(text)
+            assert str(exc.value) == "CSV has no samples"
+
+    def test_rejects_fields_float_alone_accepts(self):
+        # NumPy's parser takes no digit-grouping underscore and no
+        # non-ASCII character; the writer never emits either
+        row = ",".join(["1.0"] * 6)
+        for cell in ("1_0", "\u0661.\u0665", "1.0\u00a0"):
+            with pytest.raises(ValueError, match="could not convert"):
+                path_from_csv(f"{CSV_HEADER}\n{cell},{row}\n")
+
+    def test_bytes_match_per_cell_formatter(self, short_path):
         odd = SampledBikePath(
             [-1e16, -1.0, 0.0, 5e-324, 1e-5, 3.0, 1e16],
             [[-0.0, 1e-5], [1e16, -0.0], [2.0, 5e-324], [-3.0, 0.1],
@@ -73,15 +124,35 @@ class TestCsv:
             [-0.0, 5e-324, 1e-5, 2.0, -1e16, math.pi, 0.0],
             [0.0, -0.0, 1e16, -5e-324, 1e-5, 4.0, -2.5], 1.0)
         for path in (odd, short_path):
-            assert path_to_csv(path).encode() == per_cell(path).encode()
+            assert path_to_csv(path).encode() == per_cell_csv(path).encode()
         cells = set(path_to_csv(odd).replace("\n", ",").split(","))
         assert {"-0.0", "1e-05", "1e+16", "5e-324", "3.0"} <= cells
+
+    @given(odd_paths())
+    @example(SampledBikePath(
+        [-0.0, 5e-324, 1e16],
+        [[0.0, -0.0], [1.7976931348623157e308, 1e-5], [-5e-324, 1e-4]],
+        [-0.0, 1e16, -1e-5], [5e-324, -0.0, 1e-4], 1.0))
+    def test_bytes_and_bits_of_any_finite_path(self, path):
+        text = path_to_csv(path)
+        assert text == per_cell_csv(path)
+        q = path_from_csv(text)
+        for name in ("t", "front", "theta", "kappa"):
+            assert np.array_equal(getattr(q, name).view(np.uint64),
+                                  getattr(path, name).view(np.uint64)), name
 
     def test_file_io(self, short_path, tmp_path):
         f = tmp_path / "p.csv"
         write_path_csv(short_path, f)
         q = read_path_csv(f)
         assert np.array_equal(q.t, short_path.t)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+    def test_device_read_stops_past_limit(self, monkeypatch):
+        # a device reports size 0, so it is read to one past the limit
+        monkeypatch.setattr(pathio, "MAX_CSV_CHARS", 1000)
+        with pytest.raises(ValueError, match="limit of 1000 characters"):
+            read_path_csv("/dev/zero")
 
 
 class TestSvg:
@@ -268,6 +339,26 @@ class TestCli:
         assert json.loads(lines[0]) == {
             "error": "usage", "message": "need at least 3 samples for residuals"}
         assert not (tmp_path / "flip.csv").exists()
+
+    def test_flip_of_oversized_file_reads_nothing(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        with open(big, "wb") as f:  # sparse: no block is written
+            f.truncate(MAX_CSV_CHARS + 1)
+        tracemalloc.start()
+        try:
+            rc = cli.main(["flip", str(big), "--output", str(tmp_path / "f.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert peak < 2**20  # the file was refused unread
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        assert json.loads(lines[0]) == {
+            "error": "usage", "message":
+            f"CSV input is longer than the limit of {MAX_CSV_CHARS} characters"}
+        assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["geodesic", "--a", "0.7", "--kappa0", "1.2", "--t-end", "5"],
