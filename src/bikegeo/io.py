@@ -7,12 +7,18 @@ with ``float()``'s correctly rounded conversion, bit-exactly.  The
 back-track columns are derived data; the frame length is recovered
 from the first row on parsing.
 
+Both directions stream: the writer formats ``_BLOCK_ROWS`` rows at a
+time, and the reader hands NumPy the open file one line at a time, so
+neither holds the text of a whole table.  Input is decoded as ASCII
+and capped at ``MAX_CSV_CHARS`` bytes.
+
 SVG output draws on a fixed 1200x600 canvas with an equal-aspect world
 transform: front tracks in blue, back tracks in red, the directrix as a
 dashed green line, frame arrows in black.
 """
 
 import io
+import itertools
 import math
 import os
 
@@ -23,6 +29,11 @@ from .integrate import MAX_STEPS
 
 CSV_HEADER = "t,fx,fy,bx,by,theta,kappa"
 _CSV_ROW = ",".join(["%r"] * 7) + "\n"
+_BLOCK_ROWS = 2048  # rows formatted at a time
+# one character per byte, and a byte that is not ASCII fails its own
+# field; latin-1 would decode 0xA0 to a no-break space, which NumPy
+# strips around a field
+_DECODING = {"encoding": "ascii", "errors": "surrogateescape"}
 # room for MAX_STEPS + 1 rows, the samples of one step budget, each of
 # seven reprs of at most 24 characters, six commas and a newline
 MAX_CSV_CHARS = len(CSV_HEADER) + 1 + (MAX_STEPS + 1) * 175
@@ -38,54 +49,110 @@ FRAME_COLOR = "#111111"
 SHORTCUT_COLOR = "#ff7f0e"
 
 
+def _csv_blocks(path):
+    """The header line, then the rows in blocks of _BLOCK_ROWS, each
+    block one application of the row template."""
+    yield CSV_HEADER + "\n"
+    columns = (path.t, path.front, path.back, path.theta, path.kappa)
+    for i in range(0, len(path), _BLOCK_ROWS):
+        block = np.column_stack([c[i:i + _BLOCK_ROWS] for c in columns])
+        yield (_CSV_ROW * len(block)) % tuple(block.ravel().tolist())
+
+
 def path_to_csv(path):
     """Serialize a path to CSV text (shortest round-trip floats)."""
-    table = np.column_stack((path.t, path.front, path.back, path.theta,
-                             path.kappa))
-    return (CSV_HEADER + "\n"
-            + (_CSV_ROW * len(table)) % tuple(table.ravel().tolist()))
+    return "".join(_csv_blocks(path))
+
+
+def _too_long():
+    return ValueError(f"CSV input is longer than the limit of "
+                      f"{MAX_CSV_CHARS} characters")
+
+
+def _is_float(cell):
+    """NumPy's rule for a field: what float() accepts, without
+    digit-grouping underscores.  Input is decoded as ASCII, so float()
+    already refuses the escape of any other byte."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return "_" not in cell
+
+
+def _row_fault(line, n):
+    cells = line.rstrip("\n").split(",")
+    if len(cells) != 7:
+        return f"CSV line {n} has {len(cells)} columns, expected 7"
+    cell = next((c for c in cells if not _is_float(c)), line)
+    return f"CSV line {n}: could not convert {cell!r} to a float"
+
+
+def _parse_csv(f):
+    """Parse the CSV lines of text file f, one line at a time, reading
+    at most one character past MAX_CSV_CHARS.  Lines of whitespace are
+    skipped; file lines count from 1 at the header."""
+    left, n, line = MAX_CSV_CHARS, 0, ""
+
+    def nonblank_lines():
+        nonlocal left, n, line
+        readline = f.readline
+        # bounded, so that a line with no end stops past the limit too;
+        # line keeps the last line read once the input ends
+        while chunk := readline(left + 1):
+            line = chunk
+            left -= len(line)
+            if left < 0:
+                raise _too_long()
+            n += 1
+            if not line.isspace():
+                yield line
+
+    lines = nonblank_lines()
+    if next(lines, "").strip() != CSV_HEADER:
+        raise ValueError(f"expected header '{CSV_HEADER}'")
+    n = 1  # blank lines before the header are not counted
+    first = next(lines, None)
+    if first is None:  # loadtxt would warn on an empty input
+        raise ValueError("CSV has no samples")
+    if first.count(",") != 6:  # NumPy takes its column count from it
+        raise ValueError(_row_fault(first, n))
+    try:
+        # NumPy pulls one line at a time, so the last line read is the
+        # one it refused
+        data = np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                          comments=None, ndmin=2)
+    except ValueError:
+        if left < 0:  # the size limit
+            raise
+        raise ValueError(_row_fault(line, n)) from None
+    t, fx, fy, bx, by, theta, kappa = data.T
+    ell = float(np.hypot(fx[0] - bx[0], fy[0] - by[0]))
+    return SampledBikePath(t, data[:, 1:3], theta, kappa, ell)
 
 
 def path_from_csv(text):
     """Parse CSV text produced by :func:`path_to_csv`.  The stored columns
     (t, front, theta, kappa) round-trip bit-exactly; the frame length,
-    from the first row's front/back offset, is exact to a few ulp."""
-    header, _, body = text.strip().partition("\n")
-    if header.strip() != CSV_HEADER:
-        raise ValueError(f"expected header '{CSV_HEADER}'")
-    if not body:
-        raise ValueError("CSV has no samples")
-    try:
-        # bytes, not io.StringIO, which holds four bytes per character; a
-        # non-ASCII byte can only make its field fail to parse
-        data = np.loadtxt(io.BytesIO(body.encode()), delimiter=",",
-                          comments=None, ndmin=2, encoding="latin-1")
-        t, fx, fy, bx, by, theta, kappa = data.T  # ValueError unless 7 columns
-    except ValueError:
-        for n, line in enumerate(body.split("\n"), 2):
-            if line.rstrip("\r") and line.count(",") != 6:
-                raise ValueError(f"CSV line {n} has {line.count(',') + 1} "
-                                 "columns, expected 7") from None
-        raise  # every row has 7 fields: a field is not a float
-    ell = float(np.hypot(fx[0] - bx[0], fy[0] - by[0]))
-    return SampledBikePath(t, data[:, 1:3], theta, kappa, ell)
+    from the first row's front/back offset, is exact to a few ulp.  Text
+    past MAX_CSV_CHARS bytes is refused like a file."""
+    # not io.StringIO, which holds four bytes per character
+    return _parse_csv(io.TextIOWrapper(io.BytesIO(text.encode()), **_DECODING))
 
 
 def write_path_csv(path, filename):
     with open(filename, "w", newline="") as f:
-        f.write(path_to_csv(path))
+        f.writelines(_csv_blocks(path))
 
 
 def read_path_csv(filename):
-    """A regular file past MAX_CSV_CHARS is refused unread; a pipe or
-    device (size 0) is read to one character past the limit at most."""
-    with open(filename) as f:
-        too_long = os.fstat(f.fileno()).st_size > MAX_CSV_CHARS
-        text = "" if too_long else f.read(MAX_CSV_CHARS + 1)
-    if too_long or len(text) > MAX_CSV_CHARS:
-        raise ValueError(f"CSV input is longer than the limit of "
-                         f"{MAX_CSV_CHARS} characters")
-    return path_from_csv(text)
+    """A regular file past MAX_CSV_CHARS bytes is refused unread; any
+    other input is parsed as it is read, to one character past the
+    limit at most."""
+    with open(filename, **_DECODING) as f:
+        if os.fstat(f.fileno()).st_size > MAX_CSV_CHARS:
+            raise _too_long()
+        return _parse_csv(f)
 
 
 class SvgScene:

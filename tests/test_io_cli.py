@@ -30,6 +30,7 @@ from bikegeo.integrate import canonical_vertex_state, integrate_geodesic
 
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+B = pathio._BLOCK_ROWS
 
 
 def per_cell_csv(path):
@@ -153,6 +154,122 @@ class TestCsv:
         monkeypatch.setattr(pathio, "MAX_CSV_CHARS", 1000)
         with pytest.raises(ValueError, match="limit of 1000 characters"):
             read_path_csv("/dev/zero")
+
+    def test_limit_reached_among_rows(self, short_path, monkeypatch):
+        # the limit takes precedence over the row it cut off
+        monkeypatch.setattr(pathio, "MAX_CSV_CHARS", 1000)
+        with pytest.raises(ValueError) as exc:
+            path_from_csv(path_to_csv(short_path))
+        assert str(exc.value) == ("CSV input is longer than the limit of "
+                                  "1000 characters")
+
+    @pytest.mark.parametrize("rows, message", [
+        (["1_0.001,1,2,3,4,5,6", "1.0,1,2,3,4,5,6"],
+         "CSV line 2: could not convert '1_0.001' to a float"),
+        (["1.0,1,2,3,4,5,6", "1_0.001,1,2,3,4,5,6"],
+         "CSV line 3: could not convert '1_0.001' to a float"),
+        (["", "1.0,1,2,3,4,5,6", "  ", "2.0,1,2,3,4,5,x\r"],
+         "CSV line 5: could not convert 'x' to a float"),
+    ])
+    def test_conversion_error_names_file_line(self, rows, message):
+        # file lines count from 1 at the header, blank lines included
+        with pytest.raises(ValueError) as exc:
+            path_from_csv("\n\n" + "\n".join([CSV_HEADER, *rows]) + "\n")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_bytes_at_block_boundaries(self, n, tmp_path, geodesic_cache):
+        p = geodesic_cache(0.5, 5.0)
+        path = SampledBikePath(p.t[:n], p.front[:n], p.theta[:n],
+                               p.kappa[:n], p.ell)
+        expected = per_cell_csv(path)
+        f = tmp_path / "p.csv"
+        write_path_csv(path, f)
+        assert path_to_csv(path) == expected
+        assert f.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text.replace("\n", "\r"),
+        lambda text: "\n\r\n  \n" + text,
+        lambda text: text + "\n\r\n\n",
+        lambda text: text + "  \n\t\n ",
+        lambda text: text.replace(CSV_HEADER, CSV_HEADER + "  ", 1),
+    ], ids=["crlf", "cr", "leading-blank", "trailing-blank",
+            "trailing-space-lines", "header-trailing-spaces"])
+    def test_line_endings_and_blank_lines(self, edit, short_path, tmp_path):
+        text = edit(path_to_csv(short_path))
+        f = tmp_path / "p.csv"
+        f.write_bytes(text.encode())
+        for q in (path_from_csv(text), read_path_csv(f)):
+            for name in ("t", "front", "theta", "kappa"):
+                assert np.array_equal(getattr(q, name).view(np.uint64),
+                                      getattr(short_path, name).view(np.uint64))
+            assert q.ell == path_from_csv(path_to_csv(short_path)).ell
+
+    @pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_reads_like_file(self, short_path):
+        text = path_to_csv(SampledBikePath(short_path.t[:100],
+                                           short_path.front[:100],
+                                           short_path.theta[:100],
+                                           short_path.kappa[:100]))
+        r, w = os.pipe()
+        with os.fdopen(w, "w") as f:  # 100 rows fit in the pipe's buffer
+            f.write(text)
+        tracemalloc.start()
+        try:
+            q = read_path_csv(f"/dev/fd/{r}")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            os.close(r)
+        assert q == path_from_csv(text)
+        assert peak < 2**20  # no buffer of MAX_CSV_CHARS reserved up front
+
+    @pytest.mark.parametrize("byte", [b"\xa0", b"\x85"])
+    def test_rejects_non_ascii_byte_in_file(self, byte, tmp_path):
+        # cp1252 and latin-1 read these as a no-break space and a line
+        # break, which NumPy would strip around a field
+        f = tmp_path / "p.csv"
+        f.write_bytes(f"{CSV_HEADER}\n1.0,1,2,3,4,5,6\n".encode()
+                      + b"2.0" + byte + b",1,2,3,4,5,6\n")
+        with pytest.raises(ValueError, match="^CSV line 3: could not convert"):
+            read_path_csv(f)
+
+
+@pytest.fixture(scope="module")
+def long_path(tmp_path_factory):
+    """About 60k samples, written once."""
+    path = integrate_geodesic(canonical_vertex_state(0.5), 60.0, 1e-3)
+    f = tmp_path_factory.mktemp("long") / "long.csv"
+    write_path_csv(path, f)
+    return path, f
+
+
+def _traced_peak(func, *args):
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCsvMemory:
+    """Traced peaks on ~60k rows.  Measured: the writer 2.9 MB, six float
+    arrays of the path (`path.back` and its temporaries); the reader 6.3
+    MB, 1.9 times the parsed table of seven float columns.  Whole-text
+    I/O peaked at 25.6 and 182 MB."""
+
+    def test_write_peak_is_a_block_plus_a_few_arrays(self, long_path, tmp_path):
+        path, _ = long_path
+        peak = _traced_peak(write_path_csv, path, tmp_path / "p.csv")
+        assert peak < 2**20 + 8 * path.t.nbytes
+
+    def test_read_peak_is_about_twice_the_table(self, long_path):
+        path, f = long_path
+        peak = _traced_peak(read_path_csv, f)
+        assert peak < 2**20 + 2 * 7 * path.t.nbytes
 
 
 class TestSvg:
@@ -359,6 +476,52 @@ class TestCli:
             "error": "usage", "message":
             f"CSV input is longer than the limit of {MAX_CSV_CHARS} characters"}
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("bad_row, line", [(0, 2), (1, 3)])
+    def test_flip_of_bad_field_names_file_line(self, bad_row, line, tmp_path,
+                                               capsys):
+        rows = ["1.0,1,2,3,4,5,6", "2.0,1,2,3,4,5,6", "3.0,1,2,3,4,5,6"]
+        rows[bad_row] = "1_" + rows[bad_row]
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        assert cli.main(["flip", str(bad), "--output",
+                         str(tmp_path / "f.csv")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        assert json.loads(lines[0]) == {
+            "error": "usage", "message":
+            f"CSV line {line}: could not convert '{rows[bad_row].split(',')[0]}' "
+            "to a float"}
+
+    @pytest.mark.parametrize("byte", [b"\xa0", b"\x85"])
+    def test_flip_of_non_ascii_byte_is_one_json_line(self, byte, tmp_path,
+                                                     capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(f"{CSV_HEADER}\n".encode() + b"1.0" + byte
+                        + b",1,2,3,4,5,6\n")
+        assert cli.main(["flip", str(bad), "--output",
+                         str(tmp_path / "f.csv")]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        message = json.loads(lines[0])["message"]
+        assert message.startswith("CSV line 2: could not convert")
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("text", [CSV_HEADER + "\n", CSV_HEADER + "\n\n \n\r\n"],
+                             ids=["header", "header-blank-lines"])
+    def test_flip_of_header_only_file_is_one_json_line(self, text, tmp_path):
+        # a separate process, so that a parser warning would reach stderr
+        f = tmp_path / "h.csv"
+        f.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "bikegeo.cli", "flip", str(f),
+             "--output", str(tmp_path / "f.csv")],
+            capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert [json.loads(s) for s in proc.stderr.splitlines()] == [
+            {"error": "usage", "message": "CSV has no samples"}]
 
     @pytest.mark.parametrize("argv", [
         ["geodesic", "--a", "0.7", "--kappa0", "1.2", "--t-end", "5"],
