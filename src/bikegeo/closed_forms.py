@@ -187,8 +187,9 @@ def _periodic_parts(a, u, K, p, m):
     # half_dn, half_dd and half_tc hold sum sech / 2, sum sech tanh / 2
     # and (3 - sum tanh) / 2 over the lattice; every array is updated in
     # place, since on arrays this size a fresh array costs more than the
-    # arithmetic
+    # arithmetic; the six Horner sums share the buffer acc
     half_dn, half_dd, half_tc = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    acc = np.empty_like(u)
     w = np.exp(c * u)
     # the tails by Horner in y^2; the first power dropped is
     # y^(2 terms + 1) <= 2^-56 e^(-alpha / 2)
@@ -203,7 +204,7 @@ def _periodic_parts(a, u, K, p, m):
         for total, coef, power, add in ((half_dn, odd, y, True),
                                         (half_dd, odd_dd, y, not upper),
                                         (half_tc, even, y2, not upper)):
-            acc = np.full_like(y2, coef[-1])
+            acc.fill(coef[-1])
             for b in coef[-2::-1]:
                 acc *= y2
                 acc += b
@@ -306,9 +307,14 @@ def geodesic(a, s):
     np.arctan2(psi, S, out=psi)
     if a < 1.0:
         # psi runs from -pi to pi over |u_r| <= K; at the ends the rounded
-        # sign of sn cn may put it on the wrong side of the cut
-        cut = (np.abs(psi) > 0.5 * math.pi) & (psi * u_r < 0.0)
-        psi += np.where(cut, np.copysign(2.0 * math.pi, u_r), 0.0) + 2.0 * math.pi * j
+        # sign of sn cn may put it on the wrong side of the cut.  There
+        # psi and u_r differ in sign, which picks out the few samples to
+        # test; a sample across the cut adds +-2 pi + 2 pi j as one summand
+        j *= 2.0 * math.pi
+        near = np.flatnonzero(np.multiply(psi, u_r, out=S) < 0.0)
+        cut = near[np.abs(psi[near]) > 0.5 * math.pi]
+        j[cut] += np.copysign(2.0 * math.pi, u_r[cut])
+        psi += j
     psi += 0.5 * math.pi
     dn *= 1.0 + a
     return tuple(v.reshape(s.shape) for v in (x, y, psi, dn))

@@ -133,8 +133,12 @@ class RigidMotion:
 
     def apply_point(self, p):
         """Apply to a point or an (..., 2) array of points."""
-        p = np.asarray(p, dtype=float)
-        return p @ self.linear_matrix.T + np.asarray(self.translation)
+        out = np.asarray(p, dtype=float) @ self.linear_matrix.T
+        # one column at a time: an (n, 2) + (2,) broadcast runs a
+        # two-element inner loop per row
+        out[..., 0] += self.translation[0]
+        out[..., 1] += self.translation[1]
+        return out
 
     def compose(self, other):
         """self after other: (self.compose(other))(p) = self(other(p))."""
@@ -162,8 +166,12 @@ class SampledBikePath:
     ell     : frame length
     drift   : optional conserved-quantity drift reported by an integrator
 
-    Arrays are copied and frozen; the type is an immutable value, equal
-    to another path with equal arrays, frame length and drift.
+    The constructor copies the arrays and freezes the copies; the type
+    is an immutable value, equal to another path with equal arrays,
+    frame length and drift.  Library producers hand over float arrays
+    they have just made, or frozen arrays of a valid path, through
+    :meth:`_own`, which runs the same checks and freezes the arrays
+    without copying them.
     """
 
     t: np.ndarray
@@ -174,10 +182,22 @@ class SampledBikePath:
     drift: float | None = None
 
     def __post_init__(self):
-        t = np.array(self.t, dtype=float)
-        front = np.array(self.front, dtype=float)
-        theta = np.array(self.theta, dtype=float)
-        kappa = np.array(self.kappa, dtype=float)
+        self._freeze(*(np.array(arr, dtype=float)
+                       for arr in (self.t, self.front, self.theta, self.kappa)))
+
+    @classmethod
+    def _own(cls, t, front, theta, kappa, ell=1.0, drift=None):
+        """A path on float arrays that no one else writes: new ones the
+        caller hands over, or frozen arrays of a valid path.  The
+        constructor's checks, without its copies."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "ell", ell)
+        object.__setattr__(path, "drift", drift)
+        path._freeze(t, front, theta, kappa)
+        return path
+
+    def _freeze(self, t, front, theta, kappa):
+        """Check the float arrays, make them read-only and store them."""
         if t.ndim != 1 or front.shape != (t.size, 2):
             raise ValueError("t must be (n,), front must be (n, 2)")
         if theta.shape != t.shape or kappa.shape != t.shape:
@@ -207,8 +227,11 @@ class SampledBikePath:
     @property
     def back(self):
         """Back track, derived from front, theta and the frame length."""
-        v = np.stack([np.cos(self.theta), np.sin(self.theta)], axis=1)
-        return self.front - self.ell * v
+        back = np.empty_like(self.front)
+        np.cos(self.theta, out=back[:, 0])
+        np.sin(self.theta, out=back[:, 1])
+        back *= self.ell
+        return np.subtract(self.front, back, out=back)
 
     def config(self, i):
         """Placement at sample i."""
@@ -267,10 +290,10 @@ def act(g, obj):
         theta = g.orientation * obj.theta + g.rotation
         return ConfigPoint(f[0], f[1], theta)
     if isinstance(obj, SampledBikePath):
-        front = g.apply_point(obj.front)
-        theta = g.orientation * obj.theta + g.rotation
-        kappa = g.orientation * obj.kappa
-        return SampledBikePath(obj.t, front, theta, kappa, obj.ell, obj.drift)
+        theta = g.orientation * obj.theta
+        theta += g.rotation
+        return SampledBikePath._own(obj.t, g.apply_point(obj.front), theta,
+                                    g.orientation * obj.kappa, obj.ell, obj.drift)
     raise TypeError(f"act takes a ConfigPoint or a SampledBikePath, not "
                     f"{type(obj).__name__}; use RigidMotion.apply_point for points")
 
@@ -360,10 +383,12 @@ def flip_path(path):
     if worst_in > tol:
         raise HorizontalityError(
             f"input path violates the no-skid invariant ({worst_in:.3e})")
-    front = path.front - 2.0 * path.ell * np.stack([c, s], axis=1)
-    theta = path.theta + math.pi
+    front = np.stack([c, s], axis=1)
+    front *= 2.0 * path.ell
+    np.subtract(path.front, front, out=front)
     kappa = numdiff.curvature_from_track(front, path.t)
-    flipped = SampledBikePath(path.t, front, theta, kappa, path.ell)
+    flipped = SampledBikePath._own(path.t, front, path.theta + math.pi, kappa,
+                                   path.ell)
     res_out = horizontality_residuals(flipped)
     worst_out = float(res_out.max())
     if worst_out > 2.0 * worst_in + tol:
@@ -378,8 +403,8 @@ def dilate_path(path, lam):
     lam = float(lam)
     if not (lam > 0 and math.isfinite(lam)):
         raise ValueError("dilation factor must be positive")
-    return SampledBikePath(lam * path.t, lam * path.front, path.theta,
-                           path.kappa / lam, lam * path.ell)
+    return SampledBikePath._own(lam * path.t, lam * path.front, path.theta,
+                                path.kappa / lam, lam * path.ell)
 
 
 def st_horizontality_residuals(path):

@@ -19,6 +19,10 @@ classical fixed-step RK4 on Python floats; it is kept only as the
 independent oracle that the checks pin, and no product path runs it.
 A batch is a list of single geodesics.
 Conserved quantities are reported as drift, never projected back.
+The sampler works in place: the closed form's new arrays are
+differenced, reflected, rotated and scaled where they lie, the drift
+is measured in two buffers, and the path takes the arrays without a
+copy, after the constructor's checks.
 
 The horizontal lift ell * theta' = cos(theta) * y' - sin(theta) * x' is
 a Riccati equation, linear on v = (sin(theta/2), cos(theta/2)):
@@ -184,7 +188,7 @@ def _geodesic_rk4(x, y, theta, ptheta, px, py, h, n_steps):
     if done <= n_steps:
         raise DivergenceError(f"non-finite state at t = {done * h!r}", t=done * h)
     rows = np.frombuffer(traj).reshape(done, 4)
-    return rows[:, :2], rows[:, 2].copy(), rows[:, 3].copy()
+    return rows[:, :2].copy(), rows[:, 2].copy(), rows[:, 3].copy()
 
 
 def _grid(t_end, step, width=1):
@@ -205,9 +209,20 @@ def _grid(t_end, step, width=1):
 
 def _full_hamiltonian(theta, ptheta, px, py):
     """H at samples of theta and ptheta, for the momenta (px, py)."""
-    p1 = px - np.sin(theta) * ptheta
-    p2 = py + np.cos(theta) * ptheta
-    return 0.5 * (p1**2 + p2**2)
+    if np.ndim(theta) == 0:
+        return 0.5 * ((px - np.sin(theta) * ptheta) ** 2
+                      + (py + np.cos(theta) * ptheta) ** 2)
+    # on arrays p1 = px - sin(theta) ptheta and p2 = py + cos(theta) ptheta
+    # are formed in place (a scalar's ** 2 is pow, not the product x x)
+    p1, p2 = np.sin(theta), np.cos(theta)
+    p1 *= ptheta
+    np.subtract(px, p1, out=p1)
+    p2 *= ptheta
+    p2 += py
+    np.square(p1, out=p1)
+    p1 += np.square(p2, out=p2)
+    p1 *= 0.5
+    return p1
 
 
 def _exact_geodesic(x, y, theta, ptheta, px, py, h, n_steps):
@@ -232,23 +247,36 @@ def _exact_geodesic(x, y, theta, ptheta, px, py, h, n_steps):
         CotangentState(x, y, theta, px / lam, py / lam, ptheta / lam), tol=5e-7)
     a, sign = reduced.a, -1.0 if reduced.kappa < 0.0 else 1.0
     th0 = sign * reduced.theta
-    tau = (lam * h) * np.arange(n_steps + 1)
+    tau = np.arange(n_steps + 1, dtype=float)
+    tau *= lam * h
     if reduced.kappa == 0.0:
         c, s = math.cos(0.5 * th0), math.sin(0.5 * th0)
         dx, dy = a * tau, np.zeros_like(tau)
         dth = 2.0 * (np.arctan2(s * np.exp(-a * tau), c) - math.atan2(s, c))
         kappa = np.zeros_like(tau)
     else:
-        s0 = closed_forms.geodesic_phase(a, th0, abs(reduced.kappa))
-        gx, gy, gth, kappa = closed_forms.geodesic(a, s0 + tau)
-        dx, dy, dth = gx - gx[0], gy - gy[0], gth - gth[0]
-    # undo the reflection, then the rotation g
+        tau += closed_forms.geodesic_phase(a, th0, abs(reduced.kappa))
+        dx, dy, dth, kappa = closed_forms.geodesic(a, tau)
+        dx -= dx[0]
+        dy -= dy[0]
+        dth -= dth[0]
+    # undo the reflection, then the rotation g: front x + (c dx + s dy),
+    # y + (c dy - s dx), built in its columns with dx and dy as buffers
+    if sign < 0.0:
+        np.negative(dy, out=dy)
+        np.negative(dth, out=dth)
     c, s = math.cos(g.rotation), math.sin(g.rotation)
-    dy = sign * dy
     xy = np.empty((n_steps + 1, 2))
-    xy[:, 0] = x + (c * dx + s * dy)
-    xy[:, 1] = y + (c * dy - s * dx)
-    return xy, theta + sign * dth, (sign * lam) * kappa
+    fx, fy = xy[:, 0], xy[:, 1]
+    np.multiply(dx, c, out=fx)
+    np.multiply(dy, c, out=fy)
+    fx += np.multiply(dy, s, out=dy)
+    fx += x
+    fy -= np.multiply(dx, s, out=dx)
+    fy += y
+    dth += theta
+    kappa *= sign * lam
+    return xy, dth, kappa
 
 
 def _sample_geodesic(state, t_end, step, ell, flow):
@@ -271,10 +299,18 @@ def _sample_geodesic(state, t_end, step, ell, flow):
         raise NotUnitSpeedError(f"front speed^2 = 2H = {float(speed2)!r}, "
                                 "expected 1 for a unit-speed state")
     xy, th, pth = flow(x, y, theta, ptheta, px, py, float(h), n)
+    # the flow's arrays are new and distinct: they are scaled in place
+    # and handed to the path without copies
     energy = _full_hamiltonian(th, pth, px, py)
-    drift = drift_scale * float(np.max(np.abs(energy - energy[0])))
-    t = ell * (np.arange(n + 1) * h)
-    return SampledBikePath(t, ell * xy, th, pth / ell, ell, drift)
+    energy -= energy[0]
+    drift = drift_scale * float(np.abs(energy, out=energy).max())
+    t = np.arange(n + 1, dtype=float)
+    t *= h
+    if ell != 1.0:
+        t *= ell
+        xy *= ell
+        pth /= ell
+    return SampledBikePath._own(t, xy, th, pth, ell, drift)
 
 
 def integrate_geodesics(states, t_end, step=DEFAULT_STEP):
@@ -540,11 +576,12 @@ def horizontal_lift(track, theta0, ell=1.0, step=DEFAULT_STEP):
     """
     ell = _ell_value(ell)
     t, theta = lift_frame_angles(track, float(theta0), ell, step)
-    front = np.asarray(track.curve(t), dtype=float).reshape(t.size, 2)
+    # the track's callable may keep what it returns: the front is copied
+    front = np.array(track.curve(t), dtype=float).reshape(t.size, 2)
     if track.arc_length:
         s = t - t[0]
     else:
         d = np.asarray(track.derivative(t), dtype=float).reshape(t.size, 2)
         s = numdiff.cumulative_trapezoid(np.hypot(d[:, 0], d[:, 1]), t)
     kappa = numdiff.curvature_from_track(front, s)
-    return SampledBikePath(s, front, theta, kappa, ell)
+    return SampledBikePath._own(s, front, theta, kappa, ell)

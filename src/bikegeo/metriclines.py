@@ -115,7 +115,7 @@ def build_shortcut(N, L, ell=1.0, step=DEFAULT_STEP):
     front = np.concatenate([f1, f2[1:], f3[1:]], axis=0)
     theta = np.concatenate([th1, th2[1:], th3[1:]])
     kappa = np.concatenate([k1, k2[1:], k3[1:]])
-    return SampledBikePath(t, front, theta, kappa, ell)
+    return SampledBikePath._own(t, front, theta, kappa, ell)
 
 
 def shortcut_analysis(a, ell=1.0, step=DEFAULT_STEP):

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ellipkm1
 
 from bikegeo.analysis import canonical_orient, period_and_advance
-from bikegeo.closed_forms import (elliptic_period_advance, geodesic,
-                                  geodesic_phase, line_lift_theta,
+from bikegeo.closed_forms import (_periodic_parts, elliptic_period_advance,
+                                  geodesic, geodesic_phase, line_lift_theta,
                                   soliton_arclength, soliton_curvature,
                                   soliton_point, tractrix_point)
 from bikegeo.errors import NoPeriodError
@@ -215,6 +216,30 @@ class TestExactGeodesic:
         x = geodesic(a, s)[0]
         x_ref = mp_geodesic(a, s, dps=50)[:, 0]
         assert np.max(np.abs(x - x_ref) / np.maximum(1.0, np.abs(x_ref))) <= 5e-14
+
+    @pytest.mark.parametrize("a", [0.05, 0.3, 0.6, 0.95])
+    def test_cut_bitwise_as_masked_formula(self, a):
+        # within 50 ulp of the phases u = (2k+1) K the rounded sign of
+        # sn cn puts some samples across the cut of arg; geodesic moves
+        # only those, by the same summand +-2 pi + 2 pi j as a np.where
+        # over every sample
+        p = ((1.0 - a) / (1.0 + a)) ** 2
+        m = 4.0 * a / (1.0 + a) / (1.0 + a)
+        K = float(ellipkm1(p))
+        u0 = np.array([(2 * k + 1) * K for k in range(-3, 3)])
+        s = (u0[:, None] + np.arange(-50, 51) * np.spacing(u0)[:, None]).ravel()
+        s /= 0.5 * (1.0 + a)
+        # the masked formula, on the reduction geodesic makes
+        u = 0.5 * (1.0 + a) * s
+        j = np.rint(0.5 * u / K)
+        u_r = u - 2.0 * K * j
+        _dn, _sn2, sn_cn, _d, S = _periodic_parts(a, u_r, K, p, m)
+        psi = np.arctan2(2.0 * sn_cn, S)
+        cut = (np.abs(psi) > 0.5 * math.pi) & (psi * u_r < 0.0)
+        psi += np.where(cut, np.copysign(2.0 * math.pi, u_r), 0.0) + 2.0 * math.pi * j
+        psi += 0.5 * math.pi
+        assert cut.any()
+        assert geodesic(a, s)[2].tobytes() == psi.tobytes()
 
     def test_vertex_pose(self):
         for a in (0.0, 1e-6, 0.5, 1.0, 1 + 1e-6, 3.0):

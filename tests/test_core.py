@@ -14,7 +14,8 @@ from bikegeo.core import (BikeLength, ConfigPoint, RigidMotion,
                           st_horizontality_residuals, to_st_model,
                           validate_path)
 from bikegeo.errors import DegenerateInputError, HorizontalityError
-from bikegeo.integrate import FrontTrackSpec, horizontal_lift
+from bikegeo.integrate import (FrontTrackSpec, ReducedState, horizontal_lift,
+                               integrate_geodesic)
 
 angles = st.floats(-50.0, 50.0, allow_nan=False)
 coords = st.floats(-100.0, 100.0, allow_nan=False)
@@ -163,6 +164,28 @@ class TestAct:
         with pytest.raises(TypeError, match="apply_point"):
             act(RigidMotion(0.3), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("g", [RigidMotion(0.0, (1.7e308, 0.0)),
+                                   RigidMotion(0.25 * math.pi, (0.0, 0.0))])
+    def test_overflow_to_inf_refused(self, g):
+        # a front translated, or rotated from the diagonal onto an axis,
+        # past the largest float
+        t = np.arange(3.0)
+        far = SampledBikePath(t, np.full((3, 2), 1.5e308), t, t)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            act(g, far)
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_apply_point_bitwise_as_broadcast_translation(self, orientation):
+        # the translation is added one column at a time; the sums are
+        # those of the (n, 2) + (2,) broadcast
+        rng = np.random.default_rng(3)
+        g = RigidMotion(2.3, (0.1, -7.0 / 3.0), orientation)
+        for p in (np.array([0.4, -1.9]), rng.normal(size=(1001, 2)) * 10.0,
+                  rng.normal(size=(3, 4, 2))):
+            ref = p @ g.linear_matrix.T + np.asarray(g.translation)
+            got = g.apply_point(p)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
     def test_inverse(self):
         g = RigidMotion(1.1, (2.0, -3.0), -1)
         gi = g.inverse()
@@ -209,6 +232,32 @@ class TestSampledBikePath:
         p = line_path()
         with pytest.raises(ValueError):
             p.t[0] = 3.0
+
+    def test_constructor_copies(self):
+        t = np.linspace(0.0, 1.0, 5)
+        front, theta = np.zeros((5, 2)), np.zeros(5)
+        p = SampledBikePath(t, front, theta, theta)
+        for mine, given_ in ((p.t, t), (p.front, front), (p.theta, theta),
+                             (p.kappa, theta)):
+            assert not np.shares_memory(mine, given_)
+        assert t.flags.writeable and front.flags.writeable
+
+    def test_producers_hand_over_distinct_frozen_arrays(self):
+        # integrate_geodesic, act and flip_path build their paths without
+        # copies: every array is read-only and owned by that path alone,
+        # except the t that act and flip_path share with their source
+        state = ReducedState(0.0, 0.0, 0.5 * math.pi, 1.5, 0.5)
+        geo = integrate_geodesic(state, 5.0)
+        moved = act(RigidMotion(0.4, (1.0, -2.0), -1), geo)
+        flipped = flip_path(geo)
+        paths = (geo, moved, flipped)
+        arrays = [(i, k, getattr(p, k)) for i, p in enumerate(paths)
+                  for k in ("t", "front", "theta", "kappa")]
+        for _i, _k, arr in arrays:
+            assert not arr.flags.writeable
+        for n, (i, k, arr) in enumerate(arrays):
+            for j, l, other in arrays[n + 1:]:
+                assert np.shares_memory(arr, other) == (k == l == "t"), (i, k, j, l)
 
     def test_value_equality(self):
         # independently built paths hold distinct arrays
@@ -280,6 +329,11 @@ class TestDilation:
         assert np.allclose(big.front, 2.0 * lift.front)
         assert np.allclose(big.kappa, 0.5 * lift.kappa)
         assert big.ell == 2.0 * lift.ell
+
+    def test_overflow_refused(self):
+        lift = horizontal_lift(FrontTrackSpec.line(0.0, 10.0), -0.7)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            dilate_path(lift, 1e308)
 
     def test_preserves_horizontality(self):
         lift = horizontal_lift(FrontTrackSpec.line(0.0, 10.0), -0.7)

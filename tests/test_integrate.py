@@ -379,6 +379,22 @@ class TestHorizontalLift:
         th = np.interp(lift_fast.t, lift_base.t, lift_base.theta)
         assert np.max(np.abs(lift_fast.theta - th)) <= 1e-6
 
+    def test_track_keeps_what_its_curve_returns(self):
+        # the lift hands its own arrays to the path, but a callable's
+        # return value may be the caller's: the front is a copy of it
+        line = FrontTrackSpec.line(0.0, 2.0)
+        kept = []
+
+        def curve(t):
+            kept.append(line.curve(t))
+            return kept[-1]
+
+        lift = horizontal_lift(FrontTrackSpec(curve, line.derivative, 0.0, 2.0,
+                                              arc_length=True), -0.7)
+        assert kept[-1].flags.writeable
+        assert not np.shares_memory(lift.front, kept[-1])
+        assert not lift.front.flags.writeable
+
     def test_frame_length_in_lift(self):
         # lift with ell = 2 dilates the unit lift of the half-speed line
         theta0 = -1.1

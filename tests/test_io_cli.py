@@ -256,15 +256,19 @@ def _traced_peak(func, *args):
 
 
 class TestCsvMemory:
-    """Traced peaks on ~60k rows.  Measured: the writer 2.9 MB, six float
-    arrays of the path (`path.back` and its temporaries); the reader 6.3
-    MB, 1.9 times the parsed table of seven float columns.  Whole-text
-    I/O peaked at 25.6 and 182 MB."""
+    """Traced peaks on ~60k rows, in float arrays of the path (0.48 MB
+    each).  Measured: the writer 1.84 MB, 3.8 arrays: `path.back`, one
+    (n, 2) buffer, and a block's rows, tuple and text (six arrays, 2.9
+    MB, while `path.back` built cos, sin, their stack and its scaled
+    copy); the reader 6.3 MB, 1.9 times the parsed table of seven float
+    columns.  Whole-text I/O peaked at 25.6 and 182 MB."""
 
     def test_write_peak_is_a_block_plus_a_few_arrays(self, long_path, tmp_path):
+        # bound: 1 MiB for the block, 2 arrays for the back track and one
+        # more as margin (2.49 MB against the measured 1.84 MB)
         path, _ = long_path
         peak = _traced_peak(write_path_csv, path, tmp_path / "p.csv")
-        assert peak < 2**20 + 8 * path.t.nbytes
+        assert peak < 2**20 + 3 * path.t.nbytes
 
     def test_read_peak_is_about_twice_the_table(self, long_path):
         path, f = long_path
