@@ -10,11 +10,11 @@ the fiber circle), and quantifies when periodic geodesics stop
 minimizing.
 """
 
-from .core import (BikeLength, ConfigPoint, RigidMotion, SampledBikePath,
-                   act, angle_difference, dilate_path, flip, flip_path,
-                   from_st_model, horizontality_residuals, normalize_angle,
-                   normalize_angles, path_length, speed_errors,
-                   st_horizontality_residuals, to_st_model, validate_path)
+from .core import (ConfigPoint, RigidMotion, SampledBikePath, act,
+                   dilate_path, flip, flip_path, from_st_model,
+                   horizontality_residuals, normalize_angle, normalize_angles,
+                   path_length, speed_errors, st_horizontality_residuals,
+                   to_st_model, validate_path)
 from .integrate import (CotangentState, FrontTrackSpec, ReducedState,
                         canonical_vertex_state, canonicalize, hamiltonian_rhs,
                         horizontal_lift, integrate_geodesic,
@@ -38,10 +38,9 @@ from . import errors
 __version__ = "0.1.0"
 
 __all__ = [
-    "BikeLength", "ConfigPoint", "RigidMotion", "SampledBikePath",
-    "act", "angle_difference", "dilate_path", "flip", "flip_path",
-    "from_st_model", "horizontality_residuals", "normalize_angle",
-    "normalize_angles", "path_length", "speed_errors",
+    "ConfigPoint", "RigidMotion", "SampledBikePath", "act", "dilate_path",
+    "flip", "flip_path", "from_st_model", "horizontality_residuals",
+    "normalize_angle", "normalize_angles", "path_length", "speed_errors",
     "st_horizontality_residuals", "to_st_model", "validate_path",
     "CotangentState", "FrontTrackSpec", "ReducedState",
     "canonical_vertex_state", "canonicalize", "hamiltonian_rhs",

@@ -72,11 +72,9 @@ def soliton_point(t, t0=0.0, ell=1.0):
     2 * tractrix_point - (t, 0) so that the defining flip identity is
     exact in floating point.
     """
-    ell = _ell_value(ell)
-    u = (np.asarray(t, dtype=float) - t0) / ell
-    x = 2.0 * (t - ell * np.tanh(u)) - t
-    y = 2.0 * (ell * _sech(u))
-    return np.stack(np.broadcast_arrays(x, y), axis=-1)
+    p = 2.0 * tractrix_point(t, t0, ell)
+    p[..., 0] -= t
+    return p
 
 
 def line_lift_theta(t, t0=0.0, ell=1.0):

@@ -22,36 +22,18 @@ from .errors import DegenerateInputError, HorizontalityError
 TAU = 2.0 * math.pi
 
 
-def normalize_angle(theta):
-    """Map an angle to the interval (-pi, pi]."""
-    return float(np.pi - np.mod(np.pi - theta, TAU))
-
-
 def normalize_angles(theta):
-    """Vectorized :func:`normalize_angle`."""
+    """Map angles to the interval (-pi, pi], elementwise."""
     return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), TAU)
 
 
-def angle_difference(a, b):
-    """Signed difference a - b wrapped to (-pi, pi]."""
-    return normalize_angles(np.asarray(a, dtype=float) - b)
-
-
-@dataclass(frozen=True)
-class BikeLength:
-    """Frame length of the bike; strictly positive, defaults to 1."""
-
-    ell: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "ell", _ell_value(self.ell))
-
-    def __float__(self):
-        return self.ell
+def normalize_angle(theta):
+    """Scalar :func:`normalize_angles`, as a float."""
+    return float(normalize_angles(theta))
 
 
 def _ell_value(ell):
-    """Accept a BikeLength or a bare positive float."""
+    """The frame length as a float; it must be positive and finite."""
     value = float(ell)
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"frame length must be positive, got {value}")
@@ -251,9 +233,7 @@ def to_st_model(p, ell=1.0):
     Returns (back, v) with back = front - ell * v and v the unit frame
     direction; the inverse is :func:`from_st_model`.
     """
-    ell = _ell_value(ell)
-    v = p.frame_dir
-    return p.front - ell * v, v
+    return p.back(ell), p.frame_dir
 
 
 def from_st_model(back, v, ell=1.0):
@@ -340,11 +320,21 @@ def default_horizontality_tol(path):
     """Sampling-dependent tolerance for the no-skid residual.
 
     Second-order differences leave a residual O(h^2) scaled by third
-    derivatives of the state, which grow like (1 + kappa_max)^2.
+    derivatives of the state, which grow like (1 + kappa_max)^2.  Raises
+    DegenerateInputError where that bound overflows a float, rather than
+    check against an infinite tolerance.
     """
     h = float(np.median(np.diff(path.t)))
     kmax = float(np.max(np.abs(path.kappa))) if len(path) else 0.0
-    return max(1e-12, 25.0 * max(1.0, path.ell) * (1.0 + kmax) ** 2 * h * h)
+    try:
+        tol = 25.0 * max(1.0, path.ell) * (1.0 + kmax) ** 2 * h * h
+    except OverflowError:  # float ** raises where * returns inf
+        tol = math.inf
+    if tol == math.inf:
+        raise DegenerateInputError(
+            f"no-skid tolerance overflows at curvature {kmax:.3e}, "
+            f"frame length {path.ell:.3e} and step {h:.3e}")
+    return max(1e-12, tol)
 
 
 def validate_path(path):

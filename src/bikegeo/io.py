@@ -14,7 +14,9 @@ and capped at ``MAX_CSV_CHARS`` bytes.
 
 SVG output draws on a fixed 1200x600 canvas with an equal-aspect world
 transform: front tracks in blue, back tracks in red, the directrix as a
-dashed green line, frame arrows in black.
+dashed green line, frame arrows in black.  Its numbers come from one
+``%.3f`` template per element, as the CSV rows come from one ``%r``
+template.
 """
 
 import io
@@ -47,6 +49,9 @@ BACK_COLOR = "#d62728"
 DIRECTRIX_COLOR = "#2ca02c"
 FRAME_COLOR = "#111111"
 SHORTCUT_COLOR = "#ff7f0e"
+_ARROW = ('<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="%s" '
+          'stroke-width="%g"/>\n<polygon points="%.3f,%.3f %.3f,%.3f %.3f,%.3f" '
+          'fill="%s"/>')
 
 
 def _csv_blocks(path):
@@ -192,18 +197,8 @@ class SvgScene:
         s = min(sx, sy)
         mid = 0.5 * (lo + hi)
         center = np.array([CANVAS_W / 2.0, CANVAS_H / 2.0])
-
-        def world_to_screen(p):
-            p = np.asarray(p, dtype=float)
-            q = (p - mid) * s
-            # flip y: SVG grows downward
-            return np.stack([center[0] + q[..., 0], center[1] - q[..., 1]], axis=-1)
-
-        return world_to_screen
-
-    @staticmethod
-    def _fmt(x):
-        return f"{x:.3f}"
+        # flip y: SVG grows downward
+        return lambda p: (p - mid) * (s, -s) + center
 
     def render(self):
         to_screen = self._transform()
@@ -215,8 +210,7 @@ class SvgScene:
         for kind, pts, color, width, dash, opacity in self._elements:
             sp = to_screen(pts)
             if kind == "polyline":
-                coords = " ".join(
-                    f"{self._fmt(p[0])},{self._fmt(p[1])}" for p in sp)
+                coords = " ".join(["%.3f,%.3f"] * len(sp)) % tuple(sp.ravel().tolist())
                 dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
                 op_attr = f' stroke-opacity="{opacity:g}"' if opacity != 1.0 else ""
                 parts.append(
@@ -231,14 +225,8 @@ class SvgScene:
                 u = d / n
                 left = tip - 8.0 * u + 4.0 * np.array([-u[1], u[0]])
                 right = tip - 8.0 * u - 4.0 * np.array([-u[1], u[0]])
-                parts.append(
-                    f'<line x1="{self._fmt(base[0])}" y1="{self._fmt(base[1])}" '
-                    f'x2="{self._fmt(tip[0])}" y2="{self._fmt(tip[1])}" '
-                    f'stroke="{color}" stroke-width="{width:g}"/>')
-                parts.append(
-                    f'<polygon points="{self._fmt(tip[0])},{self._fmt(tip[1])} '
-                    f'{self._fmt(left[0])},{self._fmt(left[1])} '
-                    f'{self._fmt(right[0])},{self._fmt(right[1])}" fill="{color}"/>')
+                parts.append(_ARROW % (*base, *tip, color, width, *tip, *left,
+                                       *right, color))
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 

@@ -92,7 +92,7 @@ def build_shortcut(N, L, ell=1.0, step=DEFAULT_STEP):
 
     # quarter turn about the pinned back wheel at (0, -ell):
     # theta: pi/2 -> 0, front on the circle of radius ell
-    s1 = _arc_samples(quarter, step)
+    s1 = s3 = _arc_samples(quarter, step)
     th1 = 0.5 * math.pi - s1 / ell
     b1 = np.array([0.0, -ell])
     f1 = b1 + ell * np.stack([np.cos(th1), np.sin(th1)], axis=1)
@@ -105,7 +105,6 @@ def build_shortcut(N, L, ell=1.0, step=DEFAULT_STEP):
     k2 = np.zeros(s2.size)
 
     # quarter turn back up about the back wheel at (N*L, -ell)
-    s3 = _arc_samples(quarter, step)
     th3 = s3 / ell
     b3 = np.array([straight, -ell])
     f3 = b3 + ell * np.stack([np.cos(th3), np.sin(th3)], axis=1)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bikegeo.core import (BikeLength, ConfigPoint, RigidMotion,
-                          SampledBikePath, act, angle_difference, dilate_path,
-                          flip, flip_path, from_st_model,
+from bikegeo.core import (ConfigPoint, RigidMotion, SampledBikePath, act,
+                          dilate_path, flip, flip_path, from_st_model,
                           horizontality_residuals, normalize_angle,
-                          path_length, speed_errors,
+                          normalize_angles, path_length, speed_errors,
                           st_horizontality_residuals, to_st_model,
                           validate_path)
 from bikegeo.errors import DegenerateInputError, HorizontalityError
@@ -51,21 +50,25 @@ class TestAngles:
 
 
 class TestBikeLength:
+    """The frame length ell, as every function that takes one reads it."""
+
     def test_default_is_one(self):
-        assert float(BikeLength()) == 1.0
+        p = ConfigPoint(2, 3, 0.4)
+        got, want = to_st_model(p), to_st_model(p, 1.0)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            BikeLength(bad)
+        with pytest.raises(ValueError, match="frame length"):
+            to_st_model(ConfigPoint(2, 3, 0.4), bad)
 
     @pytest.mark.parametrize("ell", [2, np.float64(2.0)])
     def test_any_real_is_stored_as_float(self, ell):
-        # float(BikeLength) must return a float: Python raises TypeError
-        # for an int and warns for a numpy float
-        assert type(BikeLength(ell).ell) is float
+        line = line_path(n=3)
+        path = SampledBikePath(line.t, line.front, line.theta, line.kappa, ell)
+        assert type(path.ell) is float
         p = ConfigPoint(2, 3, 0.4)
-        got, want = to_st_model(p, BikeLength(ell)), to_st_model(p, 2.0)
+        got, want = to_st_model(p, ell), to_st_model(p, 2.0)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
@@ -81,7 +84,7 @@ class TestStModel:
         assert np.allclose(v, [0, 1], atol=1e-15)
 
     def test_sign_flip_and_scaling(self):
-        b, v = to_st_model(ConfigPoint(2, 3, math.pi), BikeLength(2.0))
+        b, v = to_st_model(ConfigPoint(2, 3, math.pi), 2.0)
         assert np.allclose(b, [4, 3], atol=1e-15)
         assert np.allclose(v, [-1, 0], atol=1e-15)
 
@@ -92,7 +95,7 @@ class TestStModel:
         scale = max(1.0, abs(x), abs(y))
         assert abs(q.x - p.x) <= 1e-15 * scale
         assert abs(q.y - p.y) <= 1e-15 * scale
-        assert abs(angle_difference(q.theta, p.theta)) <= 1e-15
+        assert abs(normalize_angles(q.theta - p.theta)) <= 1e-15
 
 
 class TestFlip:
@@ -113,7 +116,7 @@ class TestFlip:
         scale = max(1.0, abs(p.x), abs(p.y))
         assert abs(q.x - p.x) <= 1e-14 * scale
         assert abs(q.y - p.y) <= 1e-14 * scale
-        assert abs(angle_difference(q.theta, p.theta)) <= 1e-14
+        assert abs(normalize_angles(q.theta - p.theta)) <= 1e-14
 
     def test_flip_in_st_model_negates_tangent(self):
         # the flip reads (b, v) -> (b, -v) in the other coordinates
@@ -158,7 +161,7 @@ class TestAct:
         scale = max(1.0, abs(lhs.x), abs(lhs.y))
         assert abs(lhs.x - rhs.x) <= 1e-12 * scale
         assert abs(lhs.y - rhs.y) <= 1e-12 * scale
-        assert abs(angle_difference(lhs.theta, rhs.theta)) <= 1e-12
+        assert abs(normalize_angles(lhs.theta - rhs.theta)) <= 1e-12
 
     def test_raw_points_refused(self):
         with pytest.raises(TypeError, match="apply_point"):
@@ -295,7 +298,7 @@ class TestFlipPath:
         lift = horizontal_lift(FrontTrackSpec.line(0.0, 10.0), 0.0)
         flipped = flip_path(lift)
         assert np.max(np.abs(flipped.front[:, 1])) <= 1e-12
-        assert np.max(np.abs(angle_difference(flipped.theta, math.pi))) <= 1e-12
+        assert np.max(np.abs(normalize_angles(flipped.theta - math.pi))) <= 1e-12
 
     def test_shares_back_track(self):
         lift = horizontal_lift(FrontTrackSpec.line(0.0, 10.0), -0.7)
@@ -314,6 +317,21 @@ class TestFlipPath:
         short = SampledBikePath(p.t[:n], p.front[:n], p.theta[:n], p.kappa[:n])
         with pytest.raises(DegenerateInputError, match="at least 3 samples"):
             flip_path(short)
+
+    def test_overflowing_tolerance_refused(self):
+        # (1 + kappa_max)^2 of a circle of radius 1.4e-190 overflows a
+        # float: the flip names it instead of raising OverflowError
+        step = 3.352474372643351e-160
+        track = FrontTrackSpec.circle(1.439796875609128e-190, 0.0, 2 * step)
+        lift = horizontal_lift(track, 0.7, 1.0, step)
+        assert len(lift) == 3
+        with pytest.raises(DegenerateInputError, match="tolerance overflows"):
+            flip_path(lift)
+        # where the product, not the square, overflows to inf
+        t = np.arange(3.0)
+        big = SampledBikePath(t, np.zeros((3, 2)), t, np.full(3, 1e150), 1e10)
+        with pytest.raises(DegenerateInputError, match="tolerance overflows"):
+            validate_path(big)
 
     def test_residual_slack_factor(self):
         lift = horizontal_lift(FrontTrackSpec.line(0.0, 10.0), -0.7)

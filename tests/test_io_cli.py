@@ -18,14 +18,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bikegeo
 from bikegeo import cli, closed_forms, metriclines, verify
 from bikegeo import integrate as geo
 from bikegeo import io as pathio
 from bikegeo.errors import DivergenceError
 from bikegeo.core import SampledBikePath
-from bikegeo.io import (BACK_COLOR, CSV_HEADER, DIRECTRIX_COLOR, FRONT_COLOR,
-                        MAX_CSV_CHARS, SvgScene, path_from_csv, path_scene,
-                        path_to_csv, read_path_csv, write_path_csv)
+from bikegeo.io import (BACK_COLOR, CSV_HEADER, DIRECTRIX_COLOR, FRAME_COLOR,
+                        FRONT_COLOR, MAX_CSV_CHARS, SvgScene, path_from_csv,
+                        path_scene, path_to_csv, read_path_csv,
+                        write_path_csv)
 from bikegeo.integrate import canonical_vertex_state, integrate_geodesic
 
 
@@ -298,6 +300,29 @@ class TestSvg:
         assert all(e.get("stroke-dasharray") == "8 6" for e in directrices)
         assert len(root.findall(f"{SVG_NS}line")) == 4  # arrow shafts
         assert len(root.findall(f"{SVG_NS}polygon")) == 4  # arrow heads
+
+    def test_templates_format_each_value_as_fstring(self, monkeypatch):
+        # screen values at the edges of %.3f rounding and sign, against
+        # per-value f"{x:.3f}" formatting
+        monkeypatch.setattr(SvgScene, "_transform", lambda self: lambda p: p)
+        vals = [-0.0, -0.0004, 0.0005, 0.0015, 1e6]
+        pts = np.array([[x, y] for x in vals for y in vals])
+        base, tip = np.array([-0.0, -0.0004]), np.array([0.0015, 1e6])
+        scene = SvgScene()
+        scene.polyline(pts, "#000", 1.5)
+        scene.arrow(base, tip)
+        u = (tip - base) / math.hypot(*(tip - base))
+        left = tip - 8.0 * u + 4.0 * np.array([-u[1], u[0]])
+        right = tip - 8.0 * u - 4.0 * np.array([-u[1], u[0]])
+        f = "{:.3f}".format
+        coords = " ".join(f"{f(x)},{f(y)}" for x, y in pts)
+        assert scene.render().splitlines()[2:-1] == [
+            f'<polyline points="{coords}" fill="none" stroke="#000" '
+            f'stroke-width="1.5"/>',
+            f'<line x1="{f(base[0])}" y1="{f(base[1])}" x2="{f(tip[0])}" '
+            f'y2="{f(tip[1])}" stroke="{FRAME_COLOR}" stroke-width="2"/>',
+            f'<polygon points="{f(tip[0])},{f(tip[1])} {f(left[0])},'
+            f'{f(left[1])} {f(right[0])},{f(right[1])}" fill="{FRAME_COLOR}"/>']
 
 
 class TestCli:
@@ -613,6 +638,10 @@ class TestCli:
         assert proc.stdout.startswith("Line")
         del out
 
+    def test_public_names_resolve_once(self):
+        assert len(set(bikegeo.__all__)) == len(bikegeo.__all__)
+        assert all(hasattr(bikegeo, name) for name in bikegeo.__all__)
+
     def test_import_loads_no_scipy_integrate(self):
         # only the verify command loads the checks and their spline tracks
         proc = subprocess.run(
@@ -702,6 +731,10 @@ class TestCliContract:
     # pi * ell overflows: the threshold N must be refused, not floored
     @example(["shortcut", "--ell", "5.722234971514057e+307", "--a", "3.0",
               "--step=1.0"])
+    # (1 + kappa_max)^2 overflows in the flip's no-skid tolerance
+    @example(["correspond", "--t-end", "6.704948745286702e-160", "--curve",
+              "circle", "--radius", "1.439796875609128e-190",
+              "--step=3.352474372643351e-160"])
     def test_finite_floats_exit_cleanly(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as d, \
