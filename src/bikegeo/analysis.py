@@ -48,7 +48,10 @@ class ElasticaParams:
     a: float | None = None
 
     def __post_init__(self):
-        if 2.0 * self.B + self.A**2 < -1e-9:
+        if math.isnan(self.A) or math.isnan(self.B):
+            raise ValueError(f"energy-form coefficients A = {self.A!r}, "
+                             f"B = {self.B!r} must not be NaN")
+        if 2.0 * self.B + self.A * self.A < -1e-9:
             raise ValueError("infeasible energy form: 2B + A^2 < 0")
 
     @classmethod
@@ -404,11 +407,13 @@ def period_and_advance(path):
 
 def _energy_terms(path):
     """kappa^2 and kappa'^2/2 + kappa^4/8 over the interior samples,
-    with kappa' by centered finite differences (:func:`numdiff.deriv1`)."""
+    with kappa' by centered finite differences (:func:`numdiff.deriv1`).
+    Past the float range they are inf or NaN, which the fit refuses."""
     k = path.kappa
-    kd = numdiff.deriv1(k, path.t)
-    sl = numdiff.interior(len(path), 2)
-    return k[sl] ** 2, 0.5 * kd[sl] ** 2 + 0.125 * k[sl] ** 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        kd = numdiff.deriv1(k, path.t)
+        sl = numdiff.interior(len(path), 2)
+        return k[sl] ** 2, 0.5 * kd[sl] ** 2 + 0.125 * k[sl] ** 4
 
 
 def energy_residual(path, params):
@@ -434,7 +439,8 @@ def fit_elastica_params(path):
     two-column np.linalg.lstsq with rcond = 1e-6), from the terms it
     shares with :func:`energy_residual`.  Constant-curvature input makes
     the system rank deficient; the minimum-norm solution is returned in
-    that case.
+    that case.  Curvature so large that the terms or the fit's sums
+    overflow a float raises DegenerateInputError.
     """
     if len(path) < 5:
         raise DegenerateInputError("need at least 5 samples to fit")

@@ -294,24 +294,29 @@ def horizontality_residuals(path):
     check exact (to rounding) across tangent corners of the front track.
     Returns the absolute residual at interior samples.
     """
-    return _no_skid_residuals(path, np.cos(path.theta), np.sin(path.theta))
+    _check_residual_samples(path)
+    return _no_skid_residuals(path, np.cos(path.theta), np.sin(path.theta),
+                              numdiff.spacing(path.t))
 
 
-def _no_skid_residuals(path, c, s):
-    """:func:`horizontality_residuals` from c, s = cos, sin of path.theta."""
+def _check_residual_samples(path):
     if len(path) < 3:
         raise DegenerateInputError("need at least 3 samples for residuals")
-    dxy = np.gradient(path.front, path.t, axis=0)
-    dth = np.gradient(path.theta, path.t)
+
+
+def _no_skid_residuals(path, c, s, sp):
+    """:func:`horizontality_residuals` from c, s = cos, sin of path.theta
+    and the :func:`numdiff.spacing` sp of path.t."""
+    dxy = numdiff.gradient(path.front, sp)
+    dth = numdiff.gradient(path.theta, sp)
     res = path.ell * dth - c * dxy[:, 1] + s * dxy[:, 0]
     return np.abs(res[1:-1])
 
 
 def speed_errors(path):
     """Deviation of the front-track speed from 1 at interior samples."""
-    if len(path) < 3:
-        raise DegenerateInputError("need at least 3 samples for residuals")
-    dxy = np.gradient(path.front, path.t, axis=0)
+    _check_residual_samples(path)
+    dxy = numdiff.gradient(path.front, path.t)
     speed = np.hypot(dxy[:, 0], dxy[:, 1])
     return np.abs(speed - 1.0)[1:-1]
 
@@ -322,10 +327,13 @@ def default_horizontality_tol(path):
     Second-order differences leave a residual O(h^2) scaled by third
     derivatives of the state, which grow like (1 + kappa_max)^2.  Raises
     DegenerateInputError where that bound overflows a float, rather than
-    check against an infinite tolerance.
+    check against an infinite tolerance, and on fewer than 2 samples,
+    which have no step.
     """
+    if len(path) < 2:
+        raise DegenerateInputError("need at least 2 samples for a tolerance")
     h = float(np.median(np.diff(path.t)))
-    kmax = float(np.max(np.abs(path.kappa))) if len(path) else 0.0
+    kmax = float(np.max(np.abs(path.kappa)))
     try:
         tol = 25.0 * max(1.0, path.ell) * (1.0 + kmax) ** 2 * h * h
     except OverflowError:  # float ** raises where * returns inf
@@ -342,16 +350,16 @@ def validate_path(path):
     :func:`default_horizontality_tol`.
 
     Raises HorizontalityError naming the worst residual on failure.
-    Returns (max horizontality residual, max speed error).
+    Returns (max horizontality residual, max speed error).  Fewer than
+    3 samples raise DegenerateInputError.
     """
+    _check_residual_samples(path)
     tol = default_horizontality_tol(path)
-    res = horizontality_residuals(path)
-    worst = float(res.max()) if res.size else 0.0
+    worst = float(horizontality_residuals(path).max())
     if worst > tol:
         raise HorizontalityError(
             f"no-skid residual {worst:.3e} exceeds tolerance {tol:.3e}")
-    sp = speed_errors(path)
-    smax = float(sp.max()) if sp.size else 0.0
+    smax = float(speed_errors(path).max())
     if smax > tol:
         raise HorizontalityError(
             f"front speed deviates from 1 by {smax:.3e} (tol {tol:.3e})")
@@ -364,10 +372,13 @@ def flip_path(path):
     The result shares its back track with the input, and the front track
     curvature is recomputed from the flipped track.  The input must
     satisfy the no-skid invariant; the flipped output is checked against
-    twice the input residual (plus the finite-difference floor).
+    twice the input residual (plus the finite-difference floor).  Both
+    residuals are taken on one spacing of the shared grid t.
     """
+    _check_residual_samples(path)
+    sp = numdiff.spacing(path.t)
     c, s = np.cos(path.theta), np.sin(path.theta)
-    res_in = _no_skid_residuals(path, c, s)
+    res_in = _no_skid_residuals(path, c, s, sp)
     tol = default_horizontality_tol(path)
     worst_in = float(res_in.max())
     if worst_in > tol:
@@ -379,7 +390,8 @@ def flip_path(path):
     kappa = numdiff.curvature_from_track(front, path.t)
     flipped = SampledBikePath._own(path.t, front, path.theta + math.pi, kappa,
                                    path.ell)
-    res_out = horizontality_residuals(flipped)
+    res_out = _no_skid_residuals(flipped, np.cos(flipped.theta),
+                                 np.sin(flipped.theta), sp)
     worst_out = float(res_out.max())
     if worst_out > 2.0 * worst_in + tol:
         raise HorizontalityError(
@@ -404,8 +416,7 @@ def st_horizontality_residuals(path):
     sin(theta) * xb' - cos(theta) * yb' = 0 along horizontal paths.
     Useful as an independent cross-check of ``horizontality_residuals``.
     """
-    if len(path) < 3:
-        raise DegenerateInputError("need at least 3 samples for residuals")
-    db = np.gradient(path.back, path.t, axis=0)
+    _check_residual_samples(path)
+    db = numdiff.gradient(path.back, path.t)
     res = np.sin(path.theta) * db[:, 0] - np.cos(path.theta) * db[:, 1]
     return np.abs(res[1:-1])

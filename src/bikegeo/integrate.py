@@ -39,7 +39,8 @@ are finite exactly when its product is, so the product is checked
 once, before any angle is read.  Each fiber angle then reads its half
 angle psi = atan2 of the transported v into a preallocated row; psi is
 continuous, so where it jumps by more than pi it is unwrapped by exact
-multiples of 2 pi.
+multiples of 2 pi.  A jump of more than pi needs the row to span more
+than pi, so only rows that do are searched for jumps.
 """
 
 import math
@@ -508,7 +509,19 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
     RK4's real stability bound, step * max|track'| / (2 ell) > 2.785...,
     where the contracting direction of the fiber would grow instead of
     decay.
+
+    Each fiber angle's half angle psi is read row by row and unwrapped
+    by whole turns where it jumps by more than pi; a row is searched
+    for jumps only where its values span more than pi, which every row
+    with such a jump does.
     """
+    t, theta, _d_grid = _lift(track, theta0, ell, step)
+    return t, theta
+
+
+def _lift(track, theta0, ell, step):
+    """:func:`lift_frame_angles`, with the track's derivative on the
+    grid t as a third output: (t, theta, d_grid)."""
     ell = _ell_value(ell)
     theta0 = np.asarray(theta0, dtype=float)
     if not np.all(np.isfinite(theta0)):
@@ -552,9 +565,11 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
             np.add(np.multiply(m01, u, out=num), m00, out=num)
             np.add(np.multiply(m11, u, out=den), m10, out=den)
         np.arctan2(num, den, out=psi)
-        dpsi = np.subtract(psi[1:], psi[:-1], out=tmp[1:])
-        jumps = np.flatnonzero(np.abs(dpsi, out=num[1:]) > math.pi)
-        if jumps.size:
+        # a neighbour difference rounds to more than pi only if the
+        # rounded span max - min does
+        if psi.max() - psi.min() > math.pi:
+            dpsi = np.subtract(psi[1:], psi[:-1], out=tmp[1:])
+            jumps = np.flatnonzero(np.abs(dpsi, out=num[1:]) > math.pi)
             turns = np.cumsum(np.rint(dpsi[jumps] / (2.0 * math.pi))).tolist()
             starts = (jumps + 1).tolist()
             for lo, hi, k in zip(starts, starts[1:] + [n + 1], turns):
@@ -564,24 +579,25 @@ def lift_frame_angles(track, theta0, ell=1.0, step=DEFAULT_STEP):
         psi *= 2.0
         psi += shift
         psi[0] = th0
-    return t, rows.T.reshape((n + 1,) + theta0.shape)
+    return t, rows.T.reshape((n + 1,) + theta0.shape), d_grid
 
 
 def horizontal_lift(track, theta0, ell=1.0, step=DEFAULT_STEP):
     """Horizontal lift of a front track from an initial frame angle.
 
     Returns a SampledBikePath whose parameter is the front-track arc
-    length (cumulative, exact for arc-length tracks) and whose curvature
-    is computed from the track by finite differences.
+    length (cumulative, exact for arc-length tracks; otherwise the
+    trapezoid integral of the speed at the derivative samples the lift
+    itself took) and whose curvature is computed from the track by
+    finite differences.
     """
     ell = _ell_value(ell)
-    t, theta = lift_frame_angles(track, float(theta0), ell, step)
+    t, theta, d = _lift(track, float(theta0), ell, step)
     # the track's callable may keep what it returns: the front is copied
     front = np.array(track.curve(t), dtype=float).reshape(t.size, 2)
     if track.arc_length:
         s = t - t[0]
     else:
-        d = np.asarray(track.derivative(t), dtype=float).reshape(t.size, 2)
         s = numdiff.cumulative_trapezoid(np.hypot(d[:, 0], d[:, 1]), t)
     kappa = numdiff.curvature_from_track(front, s)
     return SampledBikePath._own(s, front, theta, kappa, ell)

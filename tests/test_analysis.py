@@ -50,6 +50,19 @@ class TestElasticaParams:
         with pytest.raises(ValueError):
             ElasticaParams(A=1.0, B=-10.0, mu=0.0)
 
+    @pytest.mark.parametrize("A, B", [(math.nan, 0.0), (0.0, math.nan),
+                                      (math.nan, math.nan)])
+    def test_nan_coefficients_rejected(self, A, B):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            ElasticaParams(A=A, B=B, mu=0.0)
+
+    def test_zero_A_keeps_infinite_mu(self):
+        assert ElasticaParams(A=0.0, B=1.0, mu=math.inf).mu == math.inf
+
+    def test_huge_A_is_checked_without_overflow(self):
+        # A * A is inf here, where A**2 raises OverflowError
+        assert ElasticaParams(A=1e200, B=0.0, mu=0.0).A == 1e200
+
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_non_finite_momentum_rejected(self, a):
         with pytest.raises(ValueError, match=f"a = {a!r} must be finite"):

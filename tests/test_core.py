@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bikegeo.core import (ConfigPoint, RigidMotion, SampledBikePath, act,
-                          dilate_path, flip, flip_path, from_st_model,
+                          default_horizontality_tol, dilate_path, flip,
+                          flip_path, from_st_model,
                           horizontality_residuals, normalize_angle,
                           normalize_angles, path_length, speed_errors,
                           st_horizontality_residuals, to_st_model,
@@ -285,6 +286,17 @@ class TestSampledBikePath:
         assert hres < 1e-6
         assert sres < 1e-6
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_validate_refuses_short_path_before_any_statistic(self, n):
+        # refused before the tolerance takes a median over an empty diff
+        p = SampledBikePath(np.arange(n, dtype=float), np.zeros((n, 2)),
+                            np.full(n, 0.1), np.zeros(n))
+        with pytest.raises(DegenerateInputError, match="at least 3 samples"):
+            validate_path(p)
+        if n == 1:
+            with pytest.raises(DegenerateInputError, match="at least 2 samples"):
+                default_horizontality_tol(p)
+
     def test_validate_rejects_skidding(self):
         p = line_path()
         bad = SampledBikePath(p.t, p.front, p.t.copy(), p.kappa)  # theta ramps
@@ -364,3 +376,39 @@ def test_st_model_residual_cross_check():
     # the no-skid residual vanishes in the alternate coordinates too
     lift = horizontal_lift(FrontTrackSpec.line(0.0, 10.0), -0.7)
     assert st_horizontality_residuals(lift).max() <= 1e-7
+
+
+def _np_gradient_residuals(path):
+    """No-skid residuals and speed errors as np.gradient gives them: the
+    reference for the column-wise numdiff.gradient."""
+    dxy = np.gradient(path.front, path.t, axis=0)
+    dth = np.gradient(path.theta, path.t)
+    res = path.ell * dth - np.cos(path.theta) * dxy[:, 1] + np.sin(path.theta) * dxy[:, 0]
+    speed = np.hypot(dxy[:, 0], dxy[:, 1])
+    db = np.gradient(path.back, path.t, axis=0)
+    st_res = np.sin(path.theta) * db[:, 0] - np.cos(path.theta) * db[:, 1]
+    return np.abs(res[1:-1]), np.abs(speed - 1.0)[1:-1], np.abs(st_res[1:-1])
+
+
+def _spline_lift():
+    # a non-arc-length track: the lift's arc length is a non-uniform grid
+    from scipy.interpolate import CubicSpline
+    pts = np.cumsum(np.random.default_rng(11).normal(0.0, 1.0, (8, 2)), axis=0)
+    track = FrontTrackSpec.from_spline(
+        CubicSpline(np.linspace(0.0, 1.0, 8), pts, axis=0), 0.0, 1.0)
+    return horizontal_lift(track, 0.4, 1.0, 2e-4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: horizontal_lift(FrontTrackSpec.circle(2.0, 0.0, 12.0), 0.3, 0.7),
+    lambda: flip_path(horizontal_lift(FrontTrackSpec.line(0.0, 10.0), -0.7)),
+    _spline_lift,
+    lambda: flip_path(_spline_lift()),
+], ids=["circle", "line_flip", "spline", "spline_flip"])
+def test_residuals_are_np_gradient_forms_bitwise(make):
+    path = make()
+    res, speed, st_res = _np_gradient_residuals(path)
+    assert horizontality_residuals(path).tobytes() == res.tobytes()
+    assert speed_errors(path).tobytes() == speed.tobytes()
+    assert st_horizontality_residuals(path).tobytes() == st_res.tobytes()
+    assert validate_path(path) == (float(res.max()), float(speed.max()))

@@ -15,7 +15,8 @@ from bikegeo.errors import (DivergenceError, ImmersionError,
 from bikegeo.holonomy import TransportSample, correspondent, fit_mobius
 from bikegeo.integrate import (RK4_REAL_STABILITY, CotangentState,
                                FrontTrackSpec, ReducedState,
-                               _full_hamiltonian, _grid, _step_maps,
+                               _full_hamiltonian, _grid, _running_product,
+                               _step_maps,
                                canonical_vertex_state, canonicalize,
                                hamiltonian_rhs, horizontal_lift,
                                integrate_geodesic, integrate_geodesics,
@@ -471,6 +472,36 @@ def _sequential_lift(track, thetas, ell, step):
     return thetas + 2.0 * (psi - psi[0])
 
 
+def _per_row_unwrap(track, thetas, ell, step):
+    """The lift's angles with every row searched for jumps past pi, with
+    no screen by the row's span: the reference for that screen.
+    Returns the angles and the number of rows that had a jump."""
+    maps = _step_maps(*_track_derivatives(track, step), ell)
+    _running_product(maps[:, 1:])
+    m00, m01, m10, m11 = maps
+    rows, unwrapped = [], 0
+    for th0 in thetas.tolist():
+        s, c = math.sin(0.5 * th0), math.cos(0.5 * th0)
+        if abs(c) >= abs(s):
+            psi = np.arctan2(m00 * (s / c) + m01, m10 * (s / c) + m11)
+        else:
+            psi = np.arctan2(m01 * (c / s) + m00, m11 * (c / s) + m10)
+        dpsi = psi[1:] - psi[:-1]
+        jumps = np.flatnonzero(np.abs(dpsi) > math.pi)
+        if jumps.size:
+            unwrapped += 1
+            turns = np.cumsum(np.rint(dpsi[jumps] / (2.0 * math.pi))).tolist()
+            starts = (jumps + 1).tolist()
+            for lo, hi, k in zip(starts, starts[1:] + [psi.size], turns):
+                psi[lo:hi] -= 2.0 * math.pi * k
+        shift = th0 - 2.0 * float(psi[0])
+        psi *= 2.0
+        psi += shift
+        psi[0] = th0
+        rows.append(psi)
+    return np.array(rows).T, unwrapped
+
+
 class TestLiftFrameAngles:
     @pytest.mark.parametrize("radius, ell", [(2.0, 1.0), (3.0, 1.3), (5.0, 0.7)])
     def test_circle_matches_riccati_closed_form(self, radius, ell):
@@ -502,6 +533,36 @@ class TestLiftFrameAngles:
         for j, theta0 in enumerate(thetas.tolist()):
             _t, single = lift_frame_angles(track, theta0, 1.0, step)
             assert np.array_equal(single, fiber[:, j])
+
+    def test_single_angle_at_the_cut_is_its_fiber_column(self):
+        thetas = np.array([-math.pi, math.pi, -3.0, 0.0, 3.0])
+        for track in (_spline_track(), FrontTrackSpec.circle(0.4, 0.0, 12.0)):
+            _t, fiber = lift_frame_angles(track, thetas, 1.0, 1e-3)
+            for j, theta0 in enumerate(thetas.tolist()):
+                _t, single = lift_frame_angles(track, theta0, 1.0, 1e-3)
+                assert np.array_equal(single, fiber[:, j])
+
+    def test_rows_crossing_the_cut_unwrap_as_every_row_did(self):
+        # on a circle of radius 0.4 ell, 8 of 64 rows wrap past the cut
+        track = FrontTrackSpec.circle(0.4, 0.0, 12.0)
+        thetas = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+        t, theta = lift_frame_angles(track, thetas, 1.0, 1e-3)
+        ref, unwrapped = _per_row_unwrap(track, thetas, 1.0, 1e-3)
+        assert unwrapped == 8
+        assert theta.tobytes() == ref.tobytes()
+
+    def test_spline_lift_evaluates_the_derivative_once_per_grid(self):
+        spline = _spline_track()
+        sizes = []
+
+        def derivative(t):
+            sizes.append(np.size(t))
+            return spline.derivative(t)
+
+        track = FrontTrackSpec(spline.curve, derivative, spline.t0, spline.t1)
+        path = horizontal_lift(track, 0.3, 1.0, 1e-3)
+        assert sizes == [len(path), len(path) - 1]
+        assert path == horizontal_lift(spline, 0.3, 1.0, 1e-3)
 
     # every step count up to 64 meets each odd-even split of the scan;
     # the angles near +-pi read v = (sin, cos)(theta0 / 2) by its sine.
